@@ -299,11 +299,9 @@ func selectBest(g *partition.Graph, cutWeights partition.EdgeWeightSet, k int, o
 	return best, nil
 }
 
-// TopMap implements the topology-based approach (§3.1).
-func TopMap(in Input) ([]int, error) {
-	if err := in.defaults(); err != nil {
-		return nil, err
-	}
+// topGraph builds the TOP partitioning instance: bandwidth and memory
+// constraints, and the latency edge-weight objective.
+func topGraph(in *Input) (*partition.Graph, partition.EdgeWeightSet) {
 	nw := in.Network
 	g := baseGraph(nw, 2)
 	// Constraint 0: total bandwidth in/out of the node, in Mb/s.
@@ -315,7 +313,15 @@ func TopMap(in Input) ([]int, error) {
 		g.VWgt[v][0] = w
 	}
 	memoryWeights(nw, g, 1)
-	lat := latencyWeights(nw, g)
+	return g, latencyWeights(nw, g)
+}
+
+// TopMap implements the topology-based approach (§3.1).
+func TopMap(in Input) ([]int, error) {
+	if err := in.defaults(); err != nil {
+		return nil, err
+	}
+	g, lat := topGraph(&in)
 	gl := g.WithWeights(lat)
 	part, err := selectBest(g, lat, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
 		return partition.Partition(gl, in.K, o)
@@ -397,13 +403,11 @@ func nodeThroughLoad(nw *netgraph.Network, load map[int]float64) []float64 {
 	return out
 }
 
-// PlaceMap implements the application-placement approach (§3.2).
-func PlaceMap(in Input) ([]int, error) {
-	if err := in.defaults(); err != nil {
-		return nil, err
-	}
+// placeGraph builds the PLACE partitioning instance: predicted through-load
+// and memory constraints, and the latency/traffic edge-weight objectives.
+func placeGraph(in *Input) (*partition.Graph, partition.EdgeWeightSet, partition.EdgeWeightSet) {
 	nw := in.Network
-	load := predictedLinkLoad(&in)
+	load := predictedLinkLoad(in)
 
 	g := baseGraph(nw, 2)
 	through := nodeThroughLoad(nw, load)
@@ -415,9 +419,15 @@ func PlaceMap(in Input) ([]int, error) {
 		g.VWgt[v][0] = w
 	}
 	memoryWeights(nw, g, 1)
+	return g, latencyWeights(nw, g), trafficEdgeWeights(nw, g, load)
+}
 
-	lat := latencyWeights(nw, g)
-	bw := trafficEdgeWeights(nw, g, load)
+// PlaceMap implements the application-placement approach (§3.2).
+func PlaceMap(in Input) ([]int, error) {
+	if err := in.defaults(); err != nil {
+		return nil, err
+	}
+	g, lat, bw := placeGraph(&in)
 	part, err := selectBest(g, bw, in.K, in.PartOpts, func(o partition.Options) ([]int, error) {
 		p, _, err := partition.MultiObjective(
 			g,

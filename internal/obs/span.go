@@ -123,8 +123,10 @@ type Timeline struct {
 	// CommitWindow, keyed by engine; other wall spans append directly.
 	pendWall map[int]float64
 
-	gated     map[int]int64
-	crit      map[int]float64
+	// gated[w] and crit[w] are worker w's gated-window count and critical
+	// path seconds, indexed by worker like busy and mark.
+	gated     []int64
+	crit      []float64
 	critTotal float64
 	stats     []WindowStat // drained by DrainWindowStats
 
@@ -142,8 +144,6 @@ func NewTimeline() *Timeline {
 	return &Timeline{
 		assign:   make(map[int]int),
 		pendWall: make(map[int]float64),
-		gated:    make(map[int]int64),
-		crit:     make(map[int]float64),
 	}
 }
 
@@ -250,12 +250,11 @@ func (t *Timeline) CommitWindow(start, end float64, spans []Span) WindowStat {
 			}
 		}
 		if w >= len(t.busy) {
-			busy := make([]float64, w+1)
-			copy(busy, t.busy)
-			t.busy = busy
-			mark := make([]int64, w+1)
-			copy(mark, t.mark)
-			t.mark = mark
+			n := w + 1 - len(t.busy)
+			t.busy = append(t.busy, make([]float64, n)...)
+			t.mark = append(t.mark, make([]int64, n)...)
+			t.gated = append(t.gated, make([]int64, n)...)
+			t.crit = append(t.crit, make([]float64, n)...)
 		}
 		if t.mark[w] != stamp {
 			t.mark[w] = stamp
@@ -330,18 +329,16 @@ func (t *Timeline) Spans() []Span {
 func (t *Timeline) Health() []WorkerHealth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	workers := make([]int, 0, len(t.gated))
-	for w := range t.gated {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	out := make([]WorkerHealth, len(workers))
-	for i, w := range workers {
-		h := WorkerHealth{Worker: w, GatedWindows: t.gated[w], CriticalPath: t.crit[w]}
+	out := []WorkerHealth{}
+	for w, n := range t.gated {
+		if n == 0 {
+			continue // never gated a window
+		}
+		h := WorkerHealth{Worker: w, GatedWindows: n, CriticalPath: t.crit[w]}
 		if t.critTotal > 0 {
 			h.Share = t.crit[w] / t.critTotal
 		}
-		out[i] = h
+		out = append(out, h)
 	}
 	return out
 }

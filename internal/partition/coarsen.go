@@ -63,69 +63,10 @@ func exceedsCap(g *Graph, u, v int, maxW []int64) bool {
 	return false
 }
 
-// coarsen collapses g along the given matching and returns the coarse level.
-// Matched pairs become one coarse vertex whose weight vector is the sum of
-// the pair's; parallel edges between coarse vertices are merged by summing
-// weights; edges internal to a pair disappear.
-func coarsen(g *Graph, match []int) level {
-	n := g.NumVertices()
-	fineToCoarse := make([]int, n)
-	for v := range fineToCoarse {
-		fineToCoarse[v] = -1
-	}
-	numCoarse := 0
-	for v := 0; v < n; v++ {
-		if fineToCoarse[v] != -1 {
-			continue
-		}
-		fineToCoarse[v] = numCoarse
-		if m := match[v]; m != v {
-			fineToCoarse[m] = numCoarse
-		}
-		numCoarse++
-	}
-
-	cg := NewGraph(numCoarse, g.Ncon)
-	for c := 0; c < numCoarse; c++ {
-		for i := range cg.VWgt[c] {
-			cg.VWgt[c][i] = 0
-		}
-	}
-	for v := 0; v < n; v++ {
-		cv := fineToCoarse[v]
-		for c, w := range g.VWgt[v] {
-			cg.VWgt[cv][c] += w
-		}
-	}
-
-	// Merge adjacency. A scratch map per coarse vertex keeps this O(E).
-	slot := make(map[int]int) // coarse neighbor -> index in cg.Adj[cv]
-	for cv := 0; cv < numCoarse; cv++ {
-		clear(slot)
-		for v := 0; v < n; v++ {
-			if fineToCoarse[v] != cv {
-				continue
-			}
-			for _, e := range g.Adj[v] {
-				cu := fineToCoarse[e.To]
-				if cu == cv {
-					continue // collapsed edge
-				}
-				if idx, ok := slot[cu]; ok {
-					cg.Adj[cv][idx].Wgt += e.Wgt
-				} else {
-					slot[cu] = len(cg.Adj[cv])
-					cg.Adj[cv] = append(cg.Adj[cv], Edge{To: cu, Wgt: e.Wgt})
-				}
-			}
-		}
-	}
-	// The loop above is O(numCoarse * n); fine for the graph sizes here but
-	// wasteful. Rebuild with a single pass instead when n is large.
-	return level{graph: cg, fineToCoarse: fineToCoarse}
-}
-
-// coarsenFast is a single-pass variant of coarsen used for larger graphs.
+// coarsenFast collapses g along the given matching and returns the coarse
+// level. Matched pairs become one coarse vertex whose weight vector is the
+// sum of the pair's; parallel edges between coarse vertices are merged by
+// summing weights; edges internal to a pair disappear.
 func coarsenFast(g *Graph, match []int) level {
 	n := g.NumVertices()
 	fineToCoarse := make([]int, n)
@@ -149,12 +90,17 @@ func coarsenFast(g *Graph, match []int) level {
 	}
 
 	cg := NewGraph(numCoarse, g.Ncon)
-	slot := make(map[int]int)
+	// slot[cu] is the index of cv's edge to cu in cg.Adj[cv], valid where
+	// owner[cu] == cv.
+	slot := make([]int, numCoarse)
+	owner := make([]int, numCoarse)
+	for cu := range owner {
+		owner[cu] = -1
+	}
 	for cv := 0; cv < numCoarse; cv++ {
 		for i := range cg.VWgt[cv] {
 			cg.VWgt[cv][i] = 0
 		}
-		clear(slot)
 		for _, v := range members[cv] {
 			if v == -1 {
 				continue
@@ -167,10 +113,10 @@ func coarsenFast(g *Graph, match []int) level {
 				if cu == cv {
 					continue
 				}
-				if idx, ok := slot[cu]; ok {
-					cg.Adj[cv][idx].Wgt += e.Wgt
+				if owner[cu] == cv {
+					cg.Adj[cv][slot[cu]].Wgt += e.Wgt
 				} else {
-					slot[cu] = len(cg.Adj[cv])
+					owner[cu], slot[cu] = cv, len(cg.Adj[cv])
 					cg.Adj[cv] = append(cg.Adj[cv], Edge{To: cu, Wgt: e.Wgt})
 				}
 			}

@@ -53,12 +53,14 @@ func NewGraph(n, ncon int) *Graph {
 		VWgt: make([][]int64, n),
 		Adj:  make([][]Edge, n),
 	}
+	// One backing array; full-capacity slices keep an append to one vertex
+	// from running into the next.
+	flat := make([]int64, n*ncon)
+	for i := range flat {
+		flat[i] = 1
+	}
 	for v := range g.VWgt {
-		w := make([]int64, ncon)
-		for c := range w {
-			w[c] = 1
-		}
-		g.VWgt[v] = w
+		g.VWgt[v] = flat[v*ncon : (v+1)*ncon : (v+1)*ncon]
 	}
 	return g
 }
@@ -183,11 +185,27 @@ func (g *Graph) Clone() *Graph {
 		VWgt: make([][]int64, len(g.VWgt)),
 		Adj:  make([][]Edge, len(g.Adj)),
 	}
+	// One backing array per field; full-capacity slices keep an append to
+	// one vertex from running into the next.
+	var nw, ne int
+	for v := range g.VWgt {
+		nw += len(g.VWgt[v])
+	}
+	for v := range g.Adj {
+		ne += len(g.Adj[v])
+	}
+	ws, es := make([]int64, 0, nw), make([]Edge, 0, ne)
 	for v, w := range g.VWgt {
-		cp.VWgt[v] = append([]int64(nil), w...)
+		if len(w) > 0 {
+			ws = append(ws, w...)
+			cp.VWgt[v] = ws[len(ws)-len(w) : len(ws) : len(ws)]
+		}
 	}
 	for v, a := range g.Adj {
-		cp.Adj[v] = append([]Edge(nil), a...)
+		if len(a) > 0 {
+			es = append(es, a...)
+			cp.Adj[v] = es[len(es)-len(a) : len(es) : len(es)]
+		}
 	}
 	return cp
 }

@@ -227,6 +227,70 @@ func randomGraph(n, extra int, ncon int, seed int64) *Graph {
 	return g
 }
 
+// coarsen is the straightforward O(numCoarse·n) collapse that coarsenFast
+// must agree with. It collapses g along the given matching and returns the
+// coarse level.
+// Matched pairs become one coarse vertex whose weight vector is the sum of
+// the pair's; parallel edges between coarse vertices are merged by summing
+// weights; edges internal to a pair disappear.
+func coarsen(g *Graph, match []int) level {
+	n := g.NumVertices()
+	fineToCoarse := make([]int, n)
+	for v := range fineToCoarse {
+		fineToCoarse[v] = -1
+	}
+	numCoarse := 0
+	for v := 0; v < n; v++ {
+		if fineToCoarse[v] != -1 {
+			continue
+		}
+		fineToCoarse[v] = numCoarse
+		if m := match[v]; m != v {
+			fineToCoarse[m] = numCoarse
+		}
+		numCoarse++
+	}
+
+	cg := NewGraph(numCoarse, g.Ncon)
+	for c := 0; c < numCoarse; c++ {
+		for i := range cg.VWgt[c] {
+			cg.VWgt[c][i] = 0
+		}
+	}
+	for v := 0; v < n; v++ {
+		cv := fineToCoarse[v]
+		for c, w := range g.VWgt[v] {
+			cg.VWgt[cv][c] += w
+		}
+	}
+
+	// Merge adjacency. A scratch map per coarse vertex keeps this O(E).
+	slot := make(map[int]int) // coarse neighbor -> index in cg.Adj[cv]
+	for cv := 0; cv < numCoarse; cv++ {
+		clear(slot)
+		for v := 0; v < n; v++ {
+			if fineToCoarse[v] != cv {
+				continue
+			}
+			for _, e := range g.Adj[v] {
+				cu := fineToCoarse[e.To]
+				if cu == cv {
+					continue // collapsed edge
+				}
+				if idx, ok := slot[cu]; ok {
+					cg.Adj[cv][idx].Wgt += e.Wgt
+				} else {
+					slot[cu] = len(cg.Adj[cv])
+					cg.Adj[cv] = append(cg.Adj[cv], Edge{To: cu, Wgt: e.Wgt})
+				}
+			}
+		}
+	}
+	// The loop above is O(numCoarse * n); fine for the graph sizes here but
+	// wasteful. Rebuild with a single pass instead when n is large.
+	return level{graph: cg, fineToCoarse: fineToCoarse}
+}
+
 func TestCoarsenVariantsAgree(t *testing.T) {
 	g := randomGraph(60, 90, 2, 7)
 	rng := rand.New(rand.NewSource(1))

@@ -7,8 +7,9 @@ import "math/rand"
 // always absorbing the unassigned vertex with the strongest connection to the
 // growing part, until the part reaches its weight target; the leftovers form
 // part k-1. The result is feasible in assignment (every vertex gets a part)
-// but may be slightly unbalanced; callers refine it.
-func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
+// but may be slightly unbalanced; callers refine it. fr is the caller's
+// frontier scratch for g, empty on entry and on return.
+func greedyGrow(g *Graph, k int, frac []float64, fr *frontier, rng *rand.Rand) []int {
 	frac = uniformFractions(k, frac)
 	n := g.NumVertices()
 	part := make([]int, n)
@@ -30,7 +31,7 @@ func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
 		if maxVertices < 1 {
 			maxVertices = 1
 		}
-		grown := growOnePart(g, part, p, target, maxVertices, rng)
+		grown := growOnePart(g, part, p, target, maxVertices, fr, rng)
 		unassigned -= grown
 	}
 	for v := range part {
@@ -41,10 +42,54 @@ func greedyGrow(g *Graph, k int, frac []float64, rng *rand.Rand) []int {
 	return part
 }
 
+// frontier is the set of unassigned vertices adjacent to the growing part,
+// with each one's connectivity to it. A vertex reached only by zero-weight
+// edges is in the frontier at gain 0.
+type frontier struct {
+	gain []int64 // gain[v]: edge weight from v into the growing part
+	pos  []int   // pos[v]: index of v in list, -1 when v is not in it
+	list []int
+}
+
+func newFrontier(n int) *frontier {
+	f := &frontier{gain: make([]int64, n), pos: make([]int, n), list: make([]int, 0, n)}
+	for v := range f.pos {
+		f.pos[v] = -1
+	}
+	return f
+}
+
+func (f *frontier) add(v int, w int64) {
+	if f.pos[v] == -1 {
+		f.pos[v], f.gain[v] = len(f.list), 0
+		f.list = append(f.list, v)
+	}
+	f.gain[v] += w
+}
+
+func (f *frontier) remove(v int) {
+	i := f.pos[v]
+	if i == -1 {
+		return
+	}
+	last := f.list[len(f.list)-1]
+	f.list[i], f.pos[last] = last, i
+	f.list = f.list[:len(f.list)-1]
+	f.pos[v] = -1
+}
+
+// reset empties the frontier for the next part.
+func (f *frontier) reset() {
+	for _, v := range f.list {
+		f.pos[v] = -1
+	}
+	f.list = f.list[:0]
+}
+
 // growOnePart grows part p from a random unassigned seed until any balance
 // constraint reaches its target or maxVertices vertices have been absorbed.
 // Returns the number of vertices assigned.
-func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int, rng *rand.Rand) int {
+func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int, fr *frontier, rng *rand.Rand) int {
 	n := g.NumVertices()
 	seed := -1
 	// Pick a random unassigned seed.
@@ -60,17 +105,17 @@ func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int,
 		return 0
 	}
 
+	defer fr.reset()
 	wgt := make([]float64, g.Ncon)
-	gain := make(map[int]int64) // unassigned frontier vertex -> connectivity to part p
 	assign := func(v int) {
 		part[v] = p
 		for c, w := range g.VWgt[v] {
 			wgt[c] += float64(w)
 		}
-		delete(gain, v)
+		fr.remove(v)
 		for _, e := range g.Adj[v] {
 			if part[e.To] == -1 {
-				gain[e.To] += e.Wgt
+				fr.add(e.To, e.Wgt)
 			}
 		}
 	}
@@ -86,12 +131,12 @@ func growOnePart(g *Graph, part []int, p int, target []float64, maxVertices int,
 	assign(seed)
 	count := 1
 	for count < maxVertices && !reachedTarget() {
-		// Absorb the frontier vertex with maximal connectivity; if the
-		// frontier is empty (disconnected graph), jump to a random
-		// unassigned vertex.
+		// Absorb the frontier vertex with maximal connectivity, lowest
+		// index on ties; if the frontier is empty (disconnected graph),
+		// jump to a random unassigned vertex.
 		best, bestW := -1, int64(-1)
-		for v, w := range gain {
-			if w > bestW || (w == bestW && v < best) {
+		for _, v := range fr.list {
+			if w := fr.gain[v]; w > bestW || (w == bestW && v < best) {
 				best, bestW = v, w
 			}
 		}

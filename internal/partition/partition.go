@@ -141,8 +141,9 @@ func initialPartition(g *Graph, k int, opts Options, rng *rand.Rand) []int {
 	bestFeasible := false
 
 	frac := uniformFractions(k, opts.PartFractions)
+	fr := newFrontier(g.NumVertices())
 	for r := 0; r < opts.Restarts; r++ {
-		part := greedyGrow(g, k, frac, rng)
+		part := greedyGrow(g, k, frac, fr, rng)
 		refine(g, part, k, opts.Imbalance, opts.RefinePasses, frac, rng)
 		rebalance(g, part, k, opts.Imbalance, frac)
 		cut := EdgeCut(g, part)

@@ -1,13 +1,18 @@
 package partition
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+	"sync"
+)
 
 // partWeights returns the per-part, per-constraint weight sums of the
 // assignment.
 func partWeights(g *Graph, part []int, k int) [][]int64 {
 	w := make([][]int64, k)
+	flat := make([]int64, k*g.Ncon)
 	for p := range w {
-		w[p] = make([]int64, g.Ncon)
+		w[p] = flat[p*g.Ncon : (p+1)*g.Ncon : (p+1)*g.Ncon]
 	}
 	for v, p := range part {
 		for c, x := range g.VWgt[v] {
@@ -59,8 +64,9 @@ func uniformFractions(k int, frac []float64) []float64 {
 func allowedCeiling(g *Graph, k int, tol float64, frac []float64) [][]float64 {
 	total := g.TotalVWgt()
 	ceil := make([][]float64, k)
+	flat := make([]float64, k*g.Ncon)
 	for p := range ceil {
-		ceil[p] = make([]float64, g.Ncon)
+		ceil[p] = flat[p*g.Ncon : (p+1)*g.Ncon : (p+1)*g.Ncon]
 		for c, t := range total {
 			if t == 0 {
 				ceil[p][c] = 1e308
@@ -95,15 +101,6 @@ func applyMove(g *Graph, part []int, w [][]int64, sizes []int, v, dst int) {
 	part[v] = dst
 }
 
-// connectivity computes, for vertex v, the total edge weight from v into each
-// part it touches, reusing the provided scratch map.
-func connectivity(g *Graph, part []int, v int, conn map[int]int64) {
-	clear(conn)
-	for _, e := range g.Adj[v] {
-		conn[part[e.To]] += e.Wgt
-	}
-}
-
 // refine performs up to passes rounds of greedy boundary refinement on the
 // assignment: each pass visits vertices in random order and moves a vertex to
 // the adjacent part with the highest positive cut gain, provided the move
@@ -116,27 +113,42 @@ func refine(g *Graph, part []int, k int, tol float64, passes int, frac []float64
 	w := partWeights(g, part, k)
 	sizes := partSizes(part, k)
 	ceil := allowedCeiling(g, k, tol, frac)
-	conn := make(map[int]int64, k)
+	buf := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(buf)
+	order := buf.ints(g.NumVertices())
+	// conn[p] is the edge weight from the visited vertex into part p, valid
+	// where mark[p] == stamp. A part reached only by zero-weight edges is
+	// still adjacent, hence a candidate destination.
+	cm := buf.int64s(2 * k)
+	conn, mark := cm[:k], cm[k:]
+	var stamp int64
 
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, v := range rng.Perm(g.NumVertices()) {
+		for _, v := range permInto(rng, order) {
 			src := part[v]
 			if sizes[src] <= 1 {
 				continue // never empty a part
 			}
-			connectivity(g, part, v, conn)
-			internal := conn[src]
+			stamp++
+			for _, e := range g.Adj[v] {
+				p := part[e.To]
+				if mark[p] != stamp {
+					mark[p], conn[p] = stamp, 0
+				}
+				conn[p] += e.Wgt
+			}
+			var internal int64
+			if mark[src] == stamp {
+				internal = conn[src]
+			}
 			bestDst, bestGain := -1, int64(0)
 			bestBalance := false
-			// Iterate parts in index order (not map order) so results are
-			// deterministic for a fixed seed.
 			for dst := 0; dst < k; dst++ {
-				ext, touches := conn[dst]
-				if dst == src || !touches {
+				if dst == src || mark[dst] != stamp {
 					continue
 				}
-				gain := ext - internal
+				gain := conn[dst] - internal
 				if gain < 0 {
 					continue
 				}
@@ -165,6 +177,17 @@ func refine(g *Graph, part []int, k int, tol float64, passes int, frac []float64
 	}
 }
 
+// permInto fills order with rng.Perm(len(order)), drawing the same random
+// numbers, without allocating.
+func permInto(rng *rand.Rand, order []int) []int {
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = i
+	}
+	return order
+}
+
 // balanceImproves reports whether moving v from src to dst strictly reduces
 // the pairwise relative imbalance between the two parts (weights compared
 // relative to each part's target fraction).
@@ -188,19 +211,8 @@ func balanceImproves(g *Graph, w [][]int64, v, src, dst int, frac []float64) boo
 // one starving part while all the others hug the ceiling. All loops are
 // bounded so hopeless instances (e.g. one giant vertex) terminate.
 func rebalance(g *Graph, part []int, k int, tol float64, frac []float64) {
-	frac = uniformFractions(k, frac)
-	st := &rebalanceState{
-		g:     g,
-		part:  part,
-		k:     k,
-		tol:   tol,
-		frac:  frac,
-		w:     partWeights(g, part, k),
-		sizes: partSizes(part, k),
-		ceil:  allowedCeiling(g, k, tol, frac),
-		conn:  make(map[int]int64, k),
-		total: g.TotalVWgt(),
-	}
+	st := newRebalanceState(g, part, k, tol, frac)
+	defer st.release()
 	maxMoves := 4 * g.NumVertices()
 	for round := 0; round < 4; round++ {
 		pushed := st.pushPhase(maxMoves)
@@ -211,6 +223,10 @@ func rebalance(g *Graph, part []int, k int, tol float64, frac []float64) {
 	}
 }
 
+// rebalanceState is one rebalance call's assignment and the bookkeeping
+// derived from it. Everything a phase needs per move or per candidate is
+// dense and taken from scratchPool on the call's first move: an already
+// balanced assignment costs no more than its part weights.
 type rebalanceState struct {
 	g     *Graph
 	part  []int
@@ -220,92 +236,242 @@ type rebalanceState struct {
 	w     [][]int64
 	sizes []int
 	ceil  [][]float64
-	conn  map[int]int64
 	total []int64
+
+	// buf holds vec, forced and seen once prepared.
+	buf *scratch
+	// vec[v·k+p] is the total edge weight from v into part p, kept current
+	// by move in O(deg(v)).
+	vec []int64
+	// forced[v] counts the forced moves of v in the current phase; a vertex
+	// gets at most two, so a hot vertex cannot ping-pong between the two
+	// heaviest parts until the move budget is gone.
+	forced []int64
+	// hash is the Zobrist hash of part, kept current by move.
+	hash uint64
+
+	// Brent cycle search over push moves: seen is part as it was lam moves
+	// ago, power the current search window (0 until the phase's first move).
+	seen     []int
+	seenHash uint64
+	power    int
+	lam      int
+	// skipped counts the push moves cycle skipping accounted for without
+	// making them.
+	skipped int
+}
+
+func newRebalanceState(g *Graph, part []int, k int, tol float64, frac []float64) *rebalanceState {
+	frac = uniformFractions(k, frac)
+	return &rebalanceState{
+		g:     g,
+		part:  part,
+		k:     k,
+		tol:   tol,
+		frac:  frac,
+		w:     partWeights(g, part, k),
+		sizes: partSizes(part, k),
+		ceil:  allowedCeiling(g, k, tol, frac),
+		total: g.TotalVWgt(),
+	}
+}
+
+// scratch is reusable storage for one refine or rebalance call. The
+// partitioner refines and rebalances at every level of every restart and
+// trial, so the buffers are recycled across calls.
+type scratch struct {
+	i64 []int64
+	idx []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// int64s returns a zeroed length-n slice of the int64 storage.
+func (s *scratch) int64s(n int) []int64 {
+	if cap(s.i64) < n {
+		s.i64 = make([]int64, n)
+	}
+	s.i64 = s.i64[:n]
+	clear(s.i64)
+	return s.i64
+}
+
+// ints returns a length-n slice of the int storage; its contents are
+// unspecified.
+func (s *scratch) ints(n int) []int {
+	if cap(s.idx) < n {
+		s.idx = make([]int, n)
+	}
+	s.idx = s.idx[:n]
+	return s.idx
+}
+
+// prepare builds the per-vertex state on the call's first move.
+func (st *rebalanceState) prepare() {
+	if st.buf != nil {
+		return
+	}
+	n, k := st.g.NumVertices(), st.k
+	st.buf = scratchPool.Get().(*scratch)
+	vf := st.buf.int64s(n*k + n)
+	st.vec, st.forced, st.seen = vf[:n*k], vf[n*k:], st.buf.ints(n)
+	for v, adj := range st.g.Adj {
+		for _, e := range adj {
+			st.vec[v*k+st.part[e.To]] += e.Wgt
+		}
+	}
+	for v, p := range st.part {
+		st.hash ^= zobrist(v, p)
+	}
+}
+
+// release returns the call's buffers for reuse.
+func (st *rebalanceState) release() {
+	if st.buf != nil {
+		scratchPool.Put(st.buf)
+		st.buf, st.vec, st.forced, st.seen = nil, nil, nil, nil
+	}
+}
+
+// move moves v into part dst and updates everything derived from part.
+func (st *rebalanceState) move(v, dst int) {
+	src, k := st.part[v], st.k
+	applyMove(st.g, st.part, st.w, st.sizes, v, dst)
+	for _, e := range st.g.Adj[v] {
+		st.vec[e.To*k+src] -= e.Wgt
+		st.vec[e.To*k+dst] += e.Wgt
+	}
+	st.hash ^= zobrist(v, src) ^ zobrist(v, dst)
+}
+
+// zobrist is the hash key of "vertex v is in part p" (splitmix64 finalizer).
+func zobrist(v, p int) uint64 {
+	x := uint64(v)<<32 ^ uint64(p) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// markCycle restarts the cycle search from the current assignment.
+func (st *rebalanceState) markCycle() {
+	copy(st.seen, st.part)
+	st.seenHash = st.hash
+	st.power, st.lam = 1, 0
+}
+
+// cycleSkip advances the cycle search by one unforced push move. When the
+// assignment equals the one lam moves ago, the pushes since then repeat
+// forever, so it returns the moves of the whole periods that fit in the
+// remaining budget: making them would end on this same assignment.
+func (st *rebalanceState) cycleSkip(remaining int) int {
+	st.lam++
+	if st.hash == st.seenHash && slices.Equal(st.part, st.seen) {
+		skip := remaining / st.lam * st.lam
+		st.skipped += skip
+		st.markCycle()
+		return skip
+	}
+	if st.lam == st.power {
+		copy(st.seen, st.part)
+		st.seenHash = st.hash
+		st.power *= 2
+		st.lam = 0
+	}
+	return 0
 }
 
 // pushPhase sheds weight from over-ceiling parts; returns moves made.
+//
+// Between forced moves the next push is a pure function of part: w, sizes
+// and vec derive from it, and forced changes only on a forced move. So once
+// the assignment repeats, the moves repeat with it until the budget runs
+// out; cycleSkip counts those moves instead of making them.
 func (st *rebalanceState) pushPhase(maxMoves int) int {
-	g, part, k, w, sizes, ceil, conn := st.g, st.part, st.k, st.w, st.sizes, st.ceil, st.conn
-	// forcedMoves caps how often a vertex may be moved by the forced
-	// fallback, preventing a hot vertex from ping-ponging between the two
-	// heaviest parts until the move budget is gone.
-	forcedMoves := make(map[int]int)
+	g, part, k, w, sizes, ceil := st.g, st.part, st.k, st.w, st.sizes, st.ceil
+	clear(st.forced)
+	st.power = 0
 	moves := 0
-	stuck := false
-	for move := 0; move < maxMoves && !stuck; move++ {
+	for move := 0; move < maxMoves; move++ {
 		over, overC := mostOverweight(g, w, ceil)
 		if over == -1 {
 			break
 		}
+		st.prepare()
+		if st.power == 0 {
+			st.markCycle()
+		}
 		// Candidate vertices of the overweight part, best (least cut damage
-		// per unit of weight shed) first.
+		// per unit of weight shed) first. The winner is the first (v, dst)
+		// of least cost among feasible pairs, so the feasibility check is
+		// only needed for a pair that would beat the current best.
 		bestV, bestDst := -1, -1
 		var bestCost float64
-		for v, p := range part {
-			if p != over || sizes[over] <= 1 {
-				continue
-			}
-			if g.VWgt[v][overC] == 0 {
-				continue // moving it would not help the violated constraint
-			}
-			connectivity(g, part, v, conn)
-			internal := conn[over]
-			for dst := 0; dst < k; dst++ {
-				if dst == over {
-					continue
+		if sizes[over] > 1 {
+			for v, p := range part {
+				wv := g.VWgt[v][overC]
+				if p != over || wv == 0 {
+					continue // moving it would not help the violated constraint
 				}
-				if !fitsAfterMove(g, w, v, dst, ceil, overC) {
-					continue
-				}
-				cost := float64(internal-conn[dst]) / float64(g.VWgt[v][overC])
-				if bestV == -1 || cost < bestCost {
+				row := st.vec[v*k : v*k+k]
+				internal := row[over]
+				for dst, ext := range row {
+					if dst == over {
+						continue
+					}
+					cost := float64(internal-ext) / float64(wv)
+					if bestV != -1 && cost >= bestCost {
+						continue
+					}
+					if !fitsAfterMove(g, w, v, dst, ceil, overC) {
+						continue
+					}
 					bestV, bestDst, bestCost = v, dst, cost
 				}
 			}
 		}
-		if bestV == -1 {
+		forced := bestV == -1
+		if forced {
 			// No ceiling-respecting move exists. Force progress: shed the
 			// least-damaging vertex to the part lightest on the violated
 			// constraint, ignoring other ceilings (the next iterations can
 			// repair them). Without this fallback, multi-constraint
 			// instances wedge far from balance.
 			dst := lightestPart(w, over, overC, st.frac)
-			if dst == -1 {
-				stuck = true
+			if dst == -1 || sizes[over] <= 1 {
 				break
 			}
 			for v, p := range part {
-				if p != over || sizes[over] <= 1 || g.VWgt[v][overC] == 0 {
+				wv := g.VWgt[v][overC]
+				if p != over || wv == 0 || st.forced[v] >= 2 {
 					continue
 				}
-				if forcedMoves[v] >= 2 {
-					continue
-				}
-				connectivity(g, part, v, conn)
-				cost := float64(conn[over]-conn[dst]) / float64(g.VWgt[v][overC])
+				cost := float64(st.vec[v*k+over]-st.vec[v*k+dst]) / float64(wv)
 				if bestV == -1 || cost < bestCost {
 					bestV, bestDst, bestCost = v, dst, cost
 				}
 			}
 			if bestV == -1 {
-				stuck = true // truly stuck (single movable vertex, etc.)
-				break
+				break // truly stuck (single movable vertex, etc.)
 			}
-			forcedMoves[bestV]++
+			st.forced[bestV]++
 		}
-		if bestV != -1 {
-			applyMove(g, part, w, sizes, bestV, bestDst)
-			moves++
+		st.move(bestV, bestDst)
+		moves++
+		if forced {
+			st.markCycle()
+		} else if skip := st.cycleSkip(maxMoves - move - 1); skip > 0 {
+			move += skip
+			moves += skip
 		}
 	}
 	return moves
 }
 
-// fillPhase pulls weight into under-floor parts; returns moves made.
+// fillPhase pulls weight into under-floor parts; returns moves made. Every
+// fill move is forced-counted, so fill never cycles.
 func (st *rebalanceState) fillPhase(maxMoves int) int {
-	g, part, k, w, sizes, conn, total := st.g, st.part, st.k, st.w, st.sizes, st.conn, st.total
-	forcedMoves := make(map[int]int)
+	g, part, k, w, sizes, total := st.g, st.part, st.k, st.w, st.sizes, st.total
+	clear(st.forced)
 	moves := 0
 	for move := 0; move < maxMoves; move++ {
 		starve, starveC := mostUnderweight(g, w, k, st.tol, total, st.frac)
@@ -316,24 +482,25 @@ func (st *rebalanceState) fillPhase(maxMoves int) int {
 		if donor == -1 || sizes[donor] <= 1 {
 			return moves
 		}
+		st.prepare()
 		floor := (1 - st.tol) * float64(total[starveC]) * st.frac[donor]
 		headroom := st.ceil[starve][starveC] - float64(w[starve][starveC])
 		bestV := -1
 		var bestCost float64
 		for v, p := range part {
-			if p != donor || g.VWgt[v][starveC] == 0 || forcedMoves[v] >= 2 {
+			wv := g.VWgt[v][starveC]
+			if p != donor || wv == 0 || st.forced[v] >= 2 {
 				continue
 			}
 			// The donor must not fall below the floor itself, and the
 			// incoming vertex must not blow the receiver's own ceiling.
-			if float64(w[donor][starveC]-g.VWgt[v][starveC]) < floor {
+			if float64(w[donor][starveC]-wv) < floor {
 				continue
 			}
-			if float64(g.VWgt[v][starveC]) > headroom {
+			if float64(wv) > headroom {
 				continue
 			}
-			connectivity(g, part, v, conn)
-			cost := float64(conn[donor]-conn[starve]) / float64(g.VWgt[v][starveC])
+			cost := float64(st.vec[v*k+donor]-st.vec[v*k+starve]) / float64(wv)
 			if bestV == -1 || cost < bestCost {
 				bestV, bestCost = v, cost
 			}
@@ -341,8 +508,8 @@ func (st *rebalanceState) fillPhase(maxMoves int) int {
 		if bestV == -1 {
 			return moves
 		}
-		forcedMoves[bestV]++
-		applyMove(g, part, w, sizes, bestV, starve)
+		st.forced[bestV]++
+		st.move(bestV, starve)
 		moves++
 	}
 	return moves
