@@ -159,34 +159,6 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelism measures the DES kernel's real speedup:
-// identical emulation, sequential vs parallel goroutine execution.
-func BenchmarkAblationParallelism(b *testing.B) {
-	sc, _ := ablationScenario(b)
-	w, _ := sc.Workload()
-	part, _, err := sc.Partition(context.Background(), mapping.Profile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, seq := range []bool{true, false} {
-		name := "parallel"
-		if seq {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := emu.Run(emu.Config{
-					Network: sc.Network, Routes: mustRoutes(b, sc), Assignment: part,
-					NumEngines: sc.Engines, Workload: w, Sequential: seq,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationTransport compares flow-completion times under the two
 // transport models on the same workload: TCP slow start stretches FCTs
 // without changing total emulation load.

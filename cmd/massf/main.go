@@ -100,7 +100,6 @@ func main() {
 		approach  = flag.String("approach", "all", "TOP | PLACE | PROFILE | all")
 		duration  = flag.Float64("duration", 120, "virtual duration in seconds")
 		seed      = flag.Int64("seed", 42, "seed for generators and partitioner")
-		seq       = flag.Bool("sequential", false, "run the DES kernel single-threaded")
 		verbose   = flag.Bool("v", false, "print per-engine loads")
 		topostats = flag.Bool("topostats", false, "print topology statistics and exit")
 		record    = flag.String("record", "", "write the generated workload trace to this file")
@@ -200,7 +199,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Duration: *duration, Seed: *seed, Sequential: *seq}
+	cfg := experiments.Config{Duration: *duration, Seed: *seed}
 	sc, err := experiments.ScenarioFor(cfg, *topology, *app)
 	if err != nil {
 		fatal(err)

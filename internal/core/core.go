@@ -91,7 +91,9 @@ type Scenario struct {
 	Cost emu.CostModel
 	// EndTime optionally truncates the emulation.
 	EndTime float64
-	// Sequential forces single-threaded kernel execution.
+	// Sequential is ignored: the in-process kernel has a single mode.
+	//
+	// Deprecated: ignored.
 	Sequential bool
 
 	// Recorder, when non-nil, receives kernel observability from every
@@ -494,7 +496,6 @@ func (sc *Scenario) emulate(ctx context.Context, assignment []int, profile bool)
 		EndTime:      sc.EndTime,
 		Transport:    sc.Transport,
 		EngineSpeeds: sc.EngineSpeeds,
-		Sequential:   sc.Sequential,
 		Faults:       sc.Faults,
 	}, opts...)
 }

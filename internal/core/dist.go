@@ -45,7 +45,6 @@ func (sc *Scenario) RunDistributed(ctx context.Context, a mapping.Approach, work
 			EndTime:      sc.EndTime,
 			Transport:    sc.Transport,
 			EngineSpeeds: sc.EngineSpeeds,
-			Sequential:   sc.Sequential,
 			Faults:       sc.Faults,
 		},
 		Routing:   sc.routingOptions(),

@@ -258,7 +258,6 @@ func (sc *Scenario) RunDynamic(ctx context.Context, interval, migrationCost floa
 			Cost:       sc.Cost,
 			Profile:    sc.NetFlowRemap,
 			Transport:  sc.Transport,
-			Sequential: sc.Sequential,
 		}, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: dynamic segment at %gs: %w", start, err)

@@ -61,7 +61,6 @@ func (sc *Scenario) RunElastic(ctx context.Context, workers []dist.Conn, opt dis
 			EndTime:      sc.EndTime,
 			Transport:    sc.Transport,
 			EngineSpeeds: sc.EngineSpeeds,
-			Sequential:   sc.Sequential,
 			Faults:       sc.Faults,
 		},
 		Routing:      sc.routingOptions(),
@@ -167,7 +166,6 @@ func (sc *Scenario) ElasticReplayConfig(assignment []int, log *dist.MembershipLo
 		EndTime:      sc.EndTime,
 		Transport:    sc.Transport,
 		EngineSpeeds: sc.EngineSpeeds,
-		Sequential:   sc.Sequential,
 		Faults:       sc.Faults,
 	}
 	for _, r := range log.Resizes {

@@ -137,7 +137,6 @@ func (sc *Scenario) RunResilient(ctx context.Context, opts FaultOptions) (*Resil
 		EndTime:         sc.EndTime,
 		Transport:       sc.Transport,
 		EngineSpeeds:    sc.EngineSpeeds,
-		Sequential:      sc.Sequential,
 		Faults:          opts.Schedule,
 		CheckpointEvery: opts.CheckpointEvery,
 		MigrationCost:   opts.MigrationCost,

@@ -10,83 +10,84 @@ import (
 // heavy timestamp collisions: every event at time t on LP lp re-sends to two
 // other LPs at exactly the next window boundary, so each barrier merges
 // simultaneous events from multiple sources and the (time, src, srcIdx)
-// tiebreak decides every insertion. The per-LP logs capture execution order.
-func crossTrafficHandler(numLPs int, L float64, logs [][]string) Handler {
+// tiebreak decides every insertion. The per-LP logs capture execution order;
+// with tagged set they also name each event's sender, so reordering
+// simultaneous events from different sources changes the log.
+func crossTrafficHandler(numLPs int, L float64, logs [][]string, tagged bool) Handler {
 	return func(lp int, t float64, data any, s *Scheduler) {
-		hop := data.(int)
-		// Only this LP's goroutine appends to its own log slot.
-		logs[lp] = append(logs[lp], fmt.Sprintf("t=%.3f hop=%d", t, hop))
+		m := data.(crossMsg)
+		// Only this LP's owner appends to its log slot.
+		if tagged {
+			logs[lp] = append(logs[lp], fmt.Sprintf("t=%.3f hop=%d from=%d", t, m.hop, m.from))
+		} else {
+			logs[lp] = append(logs[lp], fmt.Sprintf("t=%.3f hop=%d", t, m.hop))
+		}
 		s.Charge(1)
-		if hop == 0 {
+		if m.hop == 0 {
 			return
 		}
 		// Two remote fan-outs at the identical timestamp plus a local echo:
 		// the remote pair lands simultaneously with other LPs' sends.
 		next := s.windowEnd
-		s.Schedule((lp+1)%numLPs, next, hop-1)
-		s.Schedule((lp+2)%numLPs, next, hop-1)
-		s.Schedule(lp, t+L/4, 0)
+		s.Schedule((lp+1)%numLPs, next, crossMsg{m.hop - 1, lp})
+		s.Schedule((lp+2)%numLPs, next, crossMsg{m.hop - 1, lp})
+		s.Schedule(lp, t+L/4, crossMsg{0, lp})
 	}
 }
 
-// runCrossTraffic executes the collision-heavy scenario in one kernel mode
-// and returns the per-LP execution logs plus final stats.
-func runCrossTraffic(t *testing.T, numLPs int, sequential, forcePar, reference bool) ([][]string, *Stats) {
+// crossMsg is the collision-heavy scenario's payload: the remaining hop
+// count and the sending LP (-1 for seed events).
+type crossMsg struct{ hop, from int }
+
+// crossL is the collision-heavy scenario's lookahead.
+const crossL = 0.01
+
+// newCrossTraffic builds the collision-heavy scenario's kernel, seeded on
+// every LP, logging execution order into logs.
+func newCrossTraffic(t *testing.T, numLPs int, logs [][]string, tagged bool) *Kernel {
 	t.Helper()
-	const L = 0.01
-	logs := make([][]string, numLPs)
 	k, err := New(Config{
-		NumLPs:           numLPs,
-		Lookahead:        L,
-		Handler:          crossTrafficHandler(numLPs, L, logs),
-		Sequential:       sequential,
-		ForceParallel:    forcePar,
-		ReferenceBarrier: reference,
+		NumLPs:    numLPs,
+		Lookahead: crossL,
+		Handler:   crossTrafficHandler(numLPs, crossL, logs, tagged),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for lp := 0; lp < numLPs; lp++ {
-		if err := k.Schedule(lp, 0.001*float64(lp+1), 6); err != nil {
+		if err := k.Schedule(lp, 0.001*float64(lp+1), crossMsg{6, -1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats, err := k.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return logs, stats
+	return k
 }
 
 // TestBarrierMergeMatchesReference is the determinism oracle for the pooled
-// per-destination barrier merge: under heavy timestamp collisions, the
-// batched merge must execute event-for-event identically to the pre-batching
-// global (time, source LP, send order) sort — sequentially, and on the
-// persistent-worker parallel path (forced on, so single-CPU hosts and the
-// race detector exercise it too).
+// per-destination barrier merge: under heavy timestamp collisions, Run must
+// execute event-for-event identically to the reference order — one global
+// (time, source LP, send order) SortSent over the window's outbox followed by
+// Inject, driven through a Stepper that owns every LP. The tagged logs make
+// the source-LP tiebreak observable.
 func TestBarrierMergeMatchesReference(t *testing.T) {
 	const numLPs = 5
-	refLogs, refStats := runCrossTraffic(t, numLPs, true, false, true)
-	modes := []struct {
-		name                 string
-		sequential, forcePar bool
-	}{
-		{"batched-sequential", true, false},
-		{"batched-parallel", false, false},
-		{"batched-parallel-forced", false, true},
-		{"reference-parallel-forced", false, true},
-	}
-	for i, m := range modes {
-		reference := i == len(modes)-1
-		logs, stats := runCrossTraffic(t, numLPs, m.sequential, m.forcePar, reference)
+	for _, tagged := range []bool{false, true} {
+		refLogs := make([][]string, numLPs)
+		refStats := runStepped(t, crossL, [][]int{{0, 1, 2, 3, 4}}, func() *Kernel {
+			return newCrossTraffic(t, numLPs, refLogs, tagged)
+		})
+		logs := make([][]string, numLPs)
+		stats, err := newCrossTraffic(t, numLPs, logs, tagged).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(logs, refLogs) {
-			t.Errorf("%s: execution order diverged from the reference barrier", m.name)
+			t.Errorf("tagged=%v: execution order diverged from the reference merge", tagged)
 		}
 		if !reflect.DeepEqual(stats.Events, refStats.Events) ||
 			!reflect.DeepEqual(stats.Charges, refStats.Charges) ||
 			!reflect.DeepEqual(stats.RemoteSends, refStats.RemoteSends) ||
 			stats.Windows != refStats.Windows {
-			t.Errorf("%s: stats diverged from the reference barrier", m.name)
+			t.Errorf("tagged=%v: stats diverged from the reference merge", tagged)
 		}
 	}
 }
@@ -95,9 +96,7 @@ func TestBarrierMergeMatchesReference(t *testing.T) {
 // doc comment promises: the charges/remote slices handed to the observer are
 // the kernel's recycled per-window buffers — the same backing arrays every
 // window — so an observer must consume them before returning and must not
-// retain a reference. Runs meaningfully under -race with the forced parallel
-// path: a retained reference mutated here would race with the next window's
-// workers.
+// retain a reference.
 func TestObserverBuffersAreRecycled(t *testing.T) {
 	const numLPs = 3
 	const L = 0.01
@@ -114,10 +113,9 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 		}
 	}
 	k, err := New(Config{
-		NumLPs:        numLPs,
-		Lookahead:     L,
-		Handler:       h,
-		ForceParallel: true,
+		NumLPs:    numLPs,
+		Lookahead: L,
+		Handler:   h,
 		Observer: func(start, end float64, charges, remote []int64) {
 			if windows == 0 {
 				chargesArr, remoteArr = &charges[0], &remote[0]
@@ -154,7 +152,7 @@ func TestObserverBuffersAreRecycled(t *testing.T) {
 
 // TestBatchPoolingNoSteadyStateAllocs verifies the pooled-batch barrier and
 // SoA heaps reach a zero-allocation steady state: after a warm-up run, a
-// second identical sequential run performs no per-event or per-barrier
+// second identical run performs no per-event or per-barrier
 // allocations beyond the fixed per-run setup.
 func TestBatchPoolingNoSteadyStateAllocs(t *testing.T) {
 	const numLPs = 4
@@ -170,7 +168,7 @@ func TestBatchPoolingNoSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	build := func() *Kernel {
-		k, err := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true})
+		k, err := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ func TestRunErrorsOnLookaheadViolation(t *testing.T) {
 		// Remote event inside the current window: a lookahead violation.
 		s.Schedule(1, tm+0.1, nil)
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.2, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("lookahead violation did not error")
@@ -27,7 +27,7 @@ func TestRunErrorsOnInvalidTargetLP(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		s.Schedule(99, tm+5, nil)
 	}
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.2, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("invalid target LP did not error")
@@ -40,7 +40,7 @@ func TestRunErrorsOnPastEvent(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		s.Schedule(lp, tm-0.5, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.7, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("past-scheduled event did not error")
@@ -56,7 +56,7 @@ func TestFirstErrorWinsPerLP(t *testing.T) {
 		s.Schedule(lp, tm-1, nil)  // first: past event
 		s.Schedule(42, tm+10, nil) // second: invalid LP
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	_, err := k.Run()
 	if err == nil {
@@ -75,7 +75,7 @@ func TestErrorStopsFurtherHandling(t *testing.T) {
 		handled++
 		s.Schedule(lp, tm-1, nil)
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h})
 	k.Schedule(0, 0.1, nil)
 	k.Schedule(0, 0.2, nil)
 	k.Schedule(0, 0.3, nil)
@@ -99,7 +99,7 @@ func TestOnBarrierStopsRun(t *testing.T) {
 	stop := errors.New("stop here")
 	var barriers int
 	k, _ := New(Config{
-		NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true,
+		NumLPs: 1, Lookahead: 1, Handler: h,
 		OnBarrier: func(ws, we float64) error {
 			barriers++
 			if barriers == 3 {
@@ -124,7 +124,7 @@ func TestOnBarrierStopsRun(t *testing.T) {
 func TestLPFailureErrorsAs(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler) {}
 	k, _ := New(Config{
-		NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true,
+		NumLPs: 2, Lookahead: 1, Handler: h,
 		OnBarrier: func(ws, we float64) error {
 			return fmt.Errorf("wrapped: %w", &LPFailure{LP: 1, Time: ws})
 		},
@@ -155,7 +155,7 @@ func chainHandler(until float64) Handler {
 
 func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	mk := func() *Kernel {
-		k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
+		k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 	// Interrupted: stop at a mid-run barrier, checkpoint, restore, resume.
 	var cp *Checkpoint
 	stop := errors.New("interrupt")
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20), Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(20)})
 	k.cfg.OnBarrier = func(ws, we float64) error {
 		if we >= 8 && cp == nil {
 			cp = k.Checkpoint(we)
@@ -214,7 +214,7 @@ func TestRestoreRemapMovesEvents(t *testing.T) {
 	// never executes.
 	events := make([]int64, 2)
 	h := func(lp int, tm float64, data any, s *Scheduler) { events[lp]++ }
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
 	cp := k.Checkpoint(0)
@@ -232,7 +232,7 @@ func TestRestoreRemapMovesEvents(t *testing.T) {
 func TestRestoreRemapDropsEvents(t *testing.T) {
 	var handled int64
 	h := func(lp int, tm float64, data any, s *Scheduler) { handled++ }
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: h})
 	k.Schedule(0, 0.5, nil)
 	k.Schedule(1, 0.6, nil)
 	cp := k.Checkpoint(0)
@@ -279,7 +279,7 @@ func TestRestoreChangesLookahead(t *testing.T) {
 				s.Schedule(lp, tm+0.5, nil)
 			}
 		}
-		k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+		k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
 		k.Schedule(0, 0.25, nil)
 		cp := k.Checkpoint(0)
 		if err := k.Restore(cp, newL, nil); err != nil {
@@ -303,7 +303,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	// not just the tail segment's.
 	var cp *Checkpoint
 	stop := errors.New("interrupt")
-	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
+	k, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10)})
 	k.cfg.OnBarrier = func(ws, we float64) error {
 		if we >= 5 && cp == nil {
 			cp = k.Checkpoint(we)
@@ -333,7 +333,7 @@ func TestStatsContinueAcrossRestore(t *testing.T) {
 	}
 	// The full chain handles one event per virtual second up to t=10 plus the
 	// final bounce; an uninterrupted run gives the same total.
-	ref, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10), Sequential: true})
+	ref, _ := New(Config{NumLPs: 2, Lookahead: 1, Handler: chainHandler(10)})
 	ref.Schedule(0, 0.5, nil)
 	rs, err := ref.Run()
 	if err != nil {

@@ -15,9 +15,12 @@
 // link latency cut by the partition — matters: a larger lookahead means wider
 // windows, fewer barriers, and more concurrency (§2.2.3).
 //
-// LPs run on real goroutines, so wall-clock benchmarks exercise true
-// parallelism, while deterministic per-window statistics feed the engine cost
-// model that reproduces the paper's emulation-time metrics.
+// In process, one goroutine executes every LP's window in LP order: the paper
+// topologies run about two events per window, too few to repay a goroutine
+// handoff per LP. The engines' parallelism is modelled — deterministic
+// per-window statistics feed the engine cost model that reproduces the
+// paper's emulation-time metrics — and real concurrency comes from running
+// LP subsets on separate worker processes through Stepper (internal/dist).
 //
 // Hot-path layout. Pending events live in structure-of-arrays heaps (parallel
 // time/seq/payload slices), so heap sifts compare raw float64/int64 arrays
@@ -31,7 +34,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -60,15 +62,14 @@ type Event struct {
 // represents (the emulator charges one kernel event per packet, §4.1.1).
 type Handler func(lp int, t float64, data any, s *Scheduler)
 
-// WindowObserver is called once per executed window, after the barrier, on a
-// single goroutine. charges[lp] is the kernel-event load LP lp accrued during
-// [start,end); remote[lp] is the number of events it sent to other LPs.
+// WindowObserver is called once per executed window, after the barrier.
+// charges[lp] is the kernel-event load LP lp accrued during [start,end);
+// remote[lp] is the number of events it sent to other LPs.
 //
 // Both slices are recycled buffers: the kernel overwrites them in place at
 // the next barrier. An observer must fully consume (or copy) them before
-// returning and must not retain a reference — holding one past the return is
-// a data race in parallel runs, not just stale data. TestObserverBuffersAreRecycled
-// enforces this contract under the race detector.
+// returning and must not retain a reference: a retained slice shows later
+// windows' data. TestObserverBuffersAreRecycled pins this contract.
 type WindowObserver func(start, end float64, charges, remote []int64)
 
 // Config configures a Kernel.
@@ -86,36 +87,21 @@ type Config struct {
 	// Recorder, if non-nil, receives the kernel's observability stream: a
 	// RunMeta per Run (segment), a Window record per executed window with
 	// per-LP counters (handler invocations, charges, remote sends, queue
-	// occupancy, barrier wait), delivered on the coordinating goroutine
-	// after the barrier. A nil Recorder costs nothing: the instrumentation
-	// sites are guarded and allocate only when recording.
+	// occupancy; Wait is always zero in process), delivered after the
+	// barrier. A nil Recorder costs nothing: the instrumentation sites are
+	// guarded and allocate only when recording.
 	Recorder obs.Recorder
 	// OnBarrier, if non-nil, is called after each window's barrier — after
-	// handler errors are checked, outboxes merged, and the Observer has run —
-	// on the coordinating goroutine. No handler executes concurrently, so the
-	// hook may safely take a Checkpoint. Returning a non-nil error stops the
-	// run: Run returns that error together with the statistics accumulated so
-	// far (including the window just completed), which is how an engine crash
-	// (LPFailure) surfaces without corrupting state.
+	// handler errors are checked, outboxes merged, and the Observer has run.
+	// No handler is executing, so the hook may safely take a Checkpoint.
+	// Returning a non-nil error stops the run: Run returns that error
+	// together with the statistics accumulated so far (including the window
+	// just completed), which is how an engine crash (LPFailure) surfaces
+	// without corrupting state.
 	OnBarrier func(windowStart, windowEnd float64) error
 	// EndTime, if positive, stops the run once the next event would fire at
 	// or beyond this virtual time.
 	EndTime float64
-	// Sequential forces single-goroutine execution (useful to isolate
-	// determinism bugs; results must be identical either way).
-	Sequential bool
-	// ForceParallel makes Run use the persistent-worker path even on a
-	// single-CPU machine, where the kernel otherwise degrades to the
-	// sequential loop — a test knob so the worker machinery stays exercised
-	// (including under the race detector) regardless of the host. Ignored
-	// when Sequential is set.
-	ForceParallel bool
-	// ReferenceBarrier switches the barrier to the pre-batching merge: tag
-	// every cross-LP event individually and sort the whole window globally by
-	// (time, source LP, send order) before insertion. It is a testing oracle —
-	// slower, allocates per barrier — kept so regression tests can prove the
-	// default per-destination merge is byte-identical to the historical order.
-	ReferenceBarrier bool
 }
 
 // Stats summarizes a completed run.
@@ -254,9 +240,9 @@ func (s *Scheduler) fail(err error) {
 // the same mechanism lookahead violations use — instead of panicking.
 func (s *Scheduler) Fail(err error) { s.fail(err) }
 
-// Kernel is the parallel event engine. Create with New, seed initial events
-// with Schedule, then call Run once. After a Restore the kernel may be Run
-// again, resuming from the restored checkpoint.
+// Kernel is the window-synchronized event engine. Create with New, seed
+// initial events with Schedule, then call Run once. After a Restore the
+// kernel may be Run again, resuming from the restored checkpoint.
 type Kernel struct {
 	cfg    Config
 	queues []eventHeap
@@ -284,8 +270,8 @@ type Kernel struct {
 	recording bool
 	winEvents []int64
 	winQueue  []int64
-	winBusy   []float64
-	winWait   []float64
+	// winWait stays all zero: no LP waits at an in-process barrier.
+	winWait []float64
 }
 
 // New validates cfg and returns a kernel ready for initial event injection.
@@ -373,46 +359,8 @@ func (k *Kernel) Run() (*Stats, error) {
 	if k.recording {
 		k.winEvents = make([]int64, n)
 		k.winQueue = make([]int64, n)
-		k.winBusy = make([]float64, n)
 		k.winWait = make([]float64, n)
 		rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: L, Resumed: k.base != nil})
-	}
-
-	// Parallel runs use persistent per-LP workers instead of spawning n
-	// goroutines every window: the coordinator publishes the window bounds,
-	// kicks each worker through its channel, and collects n completions. The
-	// channel send/receive pairs give the necessary happens-before edges for
-	// the shared wEnd and the workers' writes into stats.
-	//
-	// On a single-CPU machine (or with one LP) the workers would only add
-	// context switches, so the kernel degrades to the sequential window loop —
-	// safe because parallel and sequential execution are byte-identical by
-	// construction.
-	parallel := !k.cfg.Sequential && n > 1 &&
-		(runtime.GOMAXPROCS(0) > 1 || k.cfg.ForceParallel)
-	var (
-		wEnd    float64
-		starts  []chan struct{}
-		winDone chan struct{}
-	)
-	if parallel {
-		starts = make([]chan struct{}, n)
-		winDone = make(chan struct{}, n)
-		for lp := 0; lp < n; lp++ {
-			ch := make(chan struct{}, 1)
-			starts[lp] = ch
-			go func(lp int, ch chan struct{}) {
-				for range ch {
-					k.runWindow(lp, scheds[lp], wEnd, stats)
-					winDone <- struct{}{}
-				}
-			}(lp, ch)
-		}
-		defer func() {
-			for _, ch := range starts {
-				close(ch)
-			}
-		}()
 	}
 
 	T := 0.0
@@ -436,23 +384,8 @@ func (k *Kernel) Run() (*Stats, error) {
 		}
 		windowEnd := T + L
 
-		// Process the window on all LPs.
-		var winStart time.Time
-		if k.recording {
-			winStart = time.Now()
-		}
-		if parallel {
-			wEnd = windowEnd
-			for _, ch := range starts {
-				ch <- struct{}{}
-			}
-			for i := 0; i < n; i++ {
-				<-winDone
-			}
-		} else {
-			for lp := 0; lp < n; lp++ {
-				k.runWindow(lp, scheds[lp], windowEnd, stats)
-			}
+		for lp := 0; lp < n; lp++ {
+			k.runWindow(lp, scheds[lp], windowEnd, stats)
 		}
 
 		// Barrier: check errors, merge outboxes deterministically, observe.
@@ -473,19 +406,8 @@ func (k *Kernel) Run() (*Stats, error) {
 				k.cfg.Observer(T, windowEnd, winCharges, winRemote)
 			}
 			if k.recording {
-				// Barrier wait: the gap between an LP finishing its window
-				// and the slowest LP releasing the barrier. Only meaningful
-				// with real parallelism.
-				windowWall := time.Since(winStart).Seconds()
 				for lp := 0; lp < n; lp++ {
 					k.winQueue[lp] = int64(k.queues[lp].Len())
-					if k.cfg.Sequential {
-						k.winWait[lp] = 0
-					} else if w := windowWall - k.winBusy[lp]; w > 0 {
-						k.winWait[lp] = w
-					} else {
-						k.winWait[lp] = 0
-					}
 				}
 				rec.RecordWindow(obs.Window{
 					Index: stats.Windows, Start: T, End: windowEnd,
@@ -514,20 +436,11 @@ func (k *Kernel) Run() (*Stats, error) {
 	return stats, nil
 }
 
-// runWindow drains one LP's queue up to windowEnd. Only this goroutine
-// touches the LP's queue during the window; remote events go to the private
-// per-destination batches.
+// runWindow drains one LP's queue up to windowEnd. Remote events go to the
+// LP's per-destination batches until the barrier merges them.
 func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats) {
-	var begin time.Time
-	preEvents := stats.Events[lp]
-	if k.recording {
-		begin = time.Now()
-	}
 	s.windowEnd = windowEnd
 	q := &k.queues[lp]
-	// Accumulate in locals and write the shared per-LP stats slots once at
-	// the end of the window: adjacent LPs' slots share cache lines, so
-	// per-event writes would false-share under parallel execution.
 	events := int64(0)
 	preCharges := s.charges
 	for q.Len() > 0 && q.times[0] < windowEnd {
@@ -546,10 +459,7 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats
 	stats.Charges[lp] += s.charges - preCharges
 	stats.RemoteSends[lp] += s.remote
 	if k.recording {
-		// Each LP goroutine writes only its own slot, so no synchronization
-		// is needed on the shared scratch slices.
-		k.winEvents[lp] = stats.Events[lp] - preEvents
-		k.winBusy[lp] = time.Since(begin).Seconds()
+		k.winEvents[lp] = events
 	}
 }
 
@@ -559,14 +469,10 @@ func (k *Kernel) runWindow(lp int, s *Scheduler, windowEnd float64, stats *Stats
 // destination at a time: sorting each destination's incoming events by that
 // same key is exactly the restriction of the global order to that
 // destination, and destinations' queues are independent, so the per-LP seq
-// assignment — and therefore every queue — is byte-identical to the
-// reference merge (Config.ReferenceBarrier re-enables the historical global
-// sort so tests can verify this).
+// assignment — and therefore every queue — is byte-identical to one global
+// SortSent followed by Inject, the order a Stepper coordinator applies (tests
+// check this).
 func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
-	if k.cfg.ReferenceBarrier {
-		k.mergeOutboxesReference(scheds)
-		return
-	}
 	if k.perDst == nil {
 		k.perDst = make([][]*batch, k.cfg.NumLPs)
 	}
@@ -611,47 +517,6 @@ func (k *Kernel) mergeOutboxes(scheds []*Scheduler) {
 	}
 	k.dstList = k.dstList[:0]
 	m.clearRefs()
-}
-
-// mergeOutboxesReference is the pre-batching barrier: tag every event with
-// (source, send order), sort the whole window globally by (time, source LP,
-// send order), and insert in that one global sequence. Kept as the testing
-// oracle the default per-destination merge is verified against.
-func (k *Kernel) mergeOutboxesReference(scheds []*Scheduler) {
-	type tagged struct {
-		time   float64
-		dst    int
-		src    int
-		srcIdx int32
-		data   any
-	}
-	var all []tagged
-	for _, s := range scheds {
-		for _, b := range s.batches {
-			for i := range b.Times {
-				all = append(all, tagged{
-					time: b.Times[i], dst: b.Dst, src: b.Src,
-					srcIdx: b.SrcIdx[i], data: b.Datas[i],
-				})
-			}
-			s.batchAt[b.Dst] = nil
-			putBatch(b)
-		}
-		s.batches = s.batches[:0]
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.time != b.time {
-			return a.time < b.time
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.srcIdx < b.srcIdx
-	})
-	for _, t := range all {
-		k.pushLocal(t.dst, t.time, t.data)
-	}
 }
 
 // mergeScratch is the reusable structure-of-arrays sort area for one
@@ -753,11 +618,6 @@ type eventHeap struct {
 	times []float64
 	seqs  []int64
 	datas []any
-	// Pad each heap header out to two cache lines: the kernel stores one
-	// eventHeap per LP in a flat slice, and push/pop rewrite the slice
-	// headers, so without padding adjacent LPs' headers would false-share
-	// under parallel execution.
-	_ [56]byte
 }
 
 func (h *eventHeap) Len() int { return len(h.times) }

@@ -8,9 +8,9 @@ import (
 
 // randomCascade builds a deterministic pseudo-random event cascade driven by
 // the payload value: each event spawns 0-2 follow-ups, local or remote,
-// with times derived from the payload so sequential and parallel runs face
-// identical workloads.
-func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequential bool) *Stats {
+// with times derived from the payload so every execution of one seed faces
+// an identical workload.
+func cascadeKernel(t *testing.T, numLPs int, lookahead float64, seed int64) *Kernel {
 	t.Helper()
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		n := data.(int64)
@@ -35,7 +35,7 @@ func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequ
 			}
 		}
 	}
-	k, err := New(Config{NumLPs: numLPs, Lookahead: lookahead, Handler: h, Sequential: sequential})
+	k, err := New(Config{NumLPs: numLPs, Lookahead: lookahead, Handler: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,13 @@ func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequ
 	for i := 0; i < 2*numLPs; i++ {
 		k.Schedule(rng.Intn(numLPs), rng.Float64()*0.01, int64(8+rng.Intn(8)))
 	}
-	st, err := k.Run()
+	return k
+}
+
+// randomCascade runs one cascade to completion with Kernel.Run.
+func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64) *Stats {
+	t.Helper()
+	st, err := cascadeKernel(t, numLPs, lookahead, seed).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +57,20 @@ func randomCascade(t *testing.T, numLPs int, lookahead float64, seed int64, sequ
 }
 
 // TestPropertySequentialParallelEquivalence: for arbitrary cascades, the
-// parallel barrier protocol must produce byte-identical statistics to
-// sequential execution.
+// parallel layout — two steppers owning the even and the odd LPs, as two
+// distributed workers would — must produce byte-identical statistics to
+// Kernel.Run.
 func TestPropertySequentialParallelEquivalence(t *testing.T) {
 	f := func(seed int64, lpRaw uint8) bool {
 		numLPs := 2 + int(lpRaw)%6
-		seq := randomCascade(t, numLPs, 0.002, seed, true)
-		par := randomCascade(t, numLPs, 0.002, seed, false)
+		seq := randomCascade(t, numLPs, 0.002, seed)
+		parts := make([][]int, 2)
+		for lp := 0; lp < numLPs; lp++ {
+			parts[lp%2] = append(parts[lp%2], lp)
+		}
+		par := runStepped(t, 0.002, parts, func() *Kernel {
+			return cascadeKernel(t, numLPs, 0.002, seed)
+		})
 		if seq.Windows != par.Windows || seq.SkippedTime != par.SkippedTime {
 			return false
 		}
@@ -90,7 +103,7 @@ func TestPropertyConservation(t *testing.T) {
 			s.Schedule((lp+1)%numLPs, tm+L, n-1)
 		}
 	}
-	k, _ := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: numLPs, Lookahead: L, Handler: h})
 	const initial = 10
 	for i := 0; i < initial; i++ {
 		k.Schedule(i%numLPs, float64(i)*0.0001, 20)
@@ -139,7 +152,7 @@ func TestPropertyWindowMonotonicity(t *testing.T) {
 // handlers report.
 func TestPropertyChargesNonNegativeAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
-		st := randomCascade(t, 3, 0.001, seed, false)
+		st := randomCascade(t, 3, 0.001, seed)
 		var events, charges int64
 		for lp := 0; lp < 3; lp++ {
 			if st.Charges[lp] < 0 || st.Events[lp] < 0 {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestEventOrdering(t *testing.T) {
 			s.Schedule(lp, tm+0.1, "child")
 		}
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 1, Lookahead: 10, Handler: h})
 	k.Schedule(0, 3.0, nil)
 	k.Schedule(0, 1.0, "spawn")
 	k.Schedule(0, 2.0, nil)
@@ -65,7 +66,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 // TestCausality is the core safety property: no handler ever observes time
-// going backwards on its LP, in parallel mode, with cross-LP traffic.
+// going backwards on its LP, with cross-LP traffic.
 func TestCausality(t *testing.T) {
 	const numLPs = 4
 	const L = 0.010
@@ -135,51 +136,6 @@ func TestInvalidRemoteLPDetected(t *testing.T) {
 	k.Schedule(0, 0, nil)
 	if _, err := k.Run(); err == nil {
 		t.Fatal("invalid remote LP not detected")
-	}
-}
-
-// TestDeterminismParallelVsSequential runs the same workload both ways and
-// compares full stats: the parallel barrier protocol must not change results.
-func TestDeterminismParallelVsSequential(t *testing.T) {
-	build := func(sequential bool) *Stats {
-		// A small deterministic multi-LP cascade.
-		h := func(lp int, tm float64, data any, s *Scheduler) {
-			n := data.(int)
-			s.Charge(int64(n%7) + 1)
-			if n < 500 {
-				dst := (lp + n) % 5
-				if dst == lp {
-					s.Schedule(lp, tm+0.0003, n+1)
-				} else {
-					s.Schedule(dst, tm+0.002+0.0001*float64(n%5), n+1)
-				}
-			}
-		}
-		k, _ := New(Config{NumLPs: 5, Lookahead: 0.002, Handler: h, Sequential: sequential})
-		for lp := 0; lp < 5; lp++ {
-			k.Schedule(lp, 0.0001*float64(lp), lp)
-		}
-		st, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	seq := build(true)
-	par := build(false)
-	if seq.Windows != par.Windows {
-		t.Errorf("windows: seq %d vs par %d", seq.Windows, par.Windows)
-	}
-	for lp := 0; lp < 5; lp++ {
-		if seq.Events[lp] != par.Events[lp] {
-			t.Errorf("LP %d events: seq %d vs par %d", lp, seq.Events[lp], par.Events[lp])
-		}
-		if seq.Charges[lp] != par.Charges[lp] {
-			t.Errorf("LP %d charges: seq %d vs par %d", lp, seq.Charges[lp], par.Charges[lp])
-		}
-		if seq.RemoteSends[lp] != par.RemoteSends[lp] {
-			t.Errorf("LP %d remote: seq %d vs par %d", lp, seq.RemoteSends[lp], par.RemoteSends[lp])
-		}
 	}
 }
 
@@ -272,7 +228,7 @@ func TestSimultaneousEventsDeterministic(t *testing.T) {
 	h := func(lp int, tm float64, data any, s *Scheduler) {
 		order = append(order, data.(int))
 	}
-	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h, Sequential: true})
+	k, _ := New(Config{NumLPs: 1, Lookahead: 1, Handler: h})
 	for i := 0; i < 10; i++ {
 		k.Schedule(0, 1.0, i)
 	}
@@ -297,7 +253,7 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
-// TestManyLPsParallelSmoke exercises the barrier with more LPs than cores.
+// TestManyLPsParallelSmoke exercises the barrier with many LPs.
 func TestManyLPsParallelSmoke(t *testing.T) {
 	const numLPs = 20
 	h := func(lp int, tm float64, data any, s *Scheduler) {
@@ -321,5 +277,50 @@ func TestManyLPsParallelSmoke(t *testing.T) {
 	}
 	if total != numLPs*101 {
 		t.Errorf("total events = %d, want %d", total, numLPs*101)
+	}
+}
+
+// TestKernelSpawnsNoGoroutines pins the single in-process kernel: with
+// several CPUs available, neither Run (checked from the Observer, after each
+// barrier) nor Stepper.Step over several local LPs (checked from the handler,
+// mid-window) raises the goroutine count.
+func TestKernelSpawnsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const numLPs = 4
+	base := runtime.NumGoroutine()
+	peak := base
+	sample := func() {
+		if n := runtime.NumGoroutine(); n > peak {
+			peak = n
+		}
+	}
+	h := func(lp int, tm float64, data any, s *Scheduler) {
+		sample()
+		if n := data.(int); n > 0 {
+			s.Schedule((lp+1)%numLPs, tm+0.01, n-1)
+		}
+	}
+	build := func(observer WindowObserver) *Kernel {
+		k, err := New(Config{NumLPs: numLPs, Lookahead: 0.01, Handler: h, Observer: observer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lp := 0; lp < numLPs; lp++ {
+			if err := k.Schedule(lp, 0, 20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return k
+	}
+	if _, err := build(func(float64, float64, []int64, []int64) { sample() }).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peak > base {
+		t.Errorf("Run: %d goroutines during the run, %d before", peak, base)
+	}
+	peak = base
+	runStepped(t, 0.01, [][]int{{0, 1, 2, 3}}, func() *Kernel { return build(nil) })
+	if peak > base {
+		t.Errorf("Stepper.Step: %d goroutines during a window, %d before", peak, base)
 	}
 }

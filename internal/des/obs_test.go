@@ -9,14 +9,13 @@ import (
 // chainKernel builds a kernel where each LP processes a chain of events, one
 // per tick, each event scheduling the next locally and charging one kernel
 // event; every stride-th event also pings the neighbor LP.
-func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder, sequential bool) *Kernel {
+func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recorder) *Kernel {
 	t.Helper()
 	type tick struct{ n int }
 	k, err := New(Config{
-		NumLPs:     numLPs,
-		Lookahead:  1,
-		Sequential: sequential,
-		Recorder:   rec,
+		NumLPs:    numLPs,
+		Lookahead: 1,
+		Recorder:  rec,
 		Handler: func(lp int, now float64, data any, s *Scheduler) {
 			tk := data.(*tick)
 			s.Charge(1)
@@ -43,32 +42,30 @@ func chainKernel(t testing.TB, numLPs int, events int, stride int, rec obs.Recor
 // TestRecorderWindowCounters checks the per-window stream against the
 // kernel's own cumulative statistics.
 func TestRecorderWindowCounters(t *testing.T) {
-	for _, seq := range []bool{true, false} {
-		stats := obs.NewRunStats()
-		k := chainKernel(t, 3, 50, 10, stats, seq)
-		st, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
+	stats := obs.NewRunStats()
+	k := chainKernel(t, 3, 50, 10, stats)
+	st, err := k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Segments != 1 {
+		t.Errorf("segments = %d, want 1", stats.Segments)
+	}
+	if stats.Windows != st.Windows {
+		t.Errorf("recorded %d windows, kernel says %d", stats.Windows, st.Windows)
+	}
+	for lp := 0; lp < 3; lp++ {
+		if stats.Events[lp] != st.Events[lp] {
+			t.Errorf("LP %d recorded events %d, kernel %d", lp, stats.Events[lp], st.Events[lp])
 		}
-		if stats.Segments != 1 {
-			t.Errorf("seq=%v: segments = %d, want 1", seq, stats.Segments)
+		if stats.Charges[lp] != st.Charges[lp] {
+			t.Errorf("LP %d recorded charges %d, kernel %d", lp, stats.Charges[lp], st.Charges[lp])
 		}
-		if stats.Windows != st.Windows {
-			t.Errorf("seq=%v: recorded %d windows, kernel says %d", seq, stats.Windows, st.Windows)
+		if stats.Remote[lp] != st.RemoteSends[lp] {
+			t.Errorf("LP %d recorded remote %d, kernel %d", lp, stats.Remote[lp], st.RemoteSends[lp])
 		}
-		for lp := 0; lp < 3; lp++ {
-			if stats.Events[lp] != st.Events[lp] {
-				t.Errorf("seq=%v: LP %d recorded events %d, kernel %d", seq, lp, stats.Events[lp], st.Events[lp])
-			}
-			if stats.Charges[lp] != st.Charges[lp] {
-				t.Errorf("seq=%v: LP %d recorded charges %d, kernel %d", seq, lp, stats.Charges[lp], st.Charges[lp])
-			}
-			if stats.Remote[lp] != st.RemoteSends[lp] {
-				t.Errorf("seq=%v: LP %d recorded remote %d, kernel %d", seq, lp, stats.Remote[lp], st.RemoteSends[lp])
-			}
-			if stats.MaxQueue[lp] < 1 {
-				t.Errorf("seq=%v: LP %d max queue = %d, want >= 1", seq, lp, stats.MaxQueue[lp])
-			}
+		if stats.MaxQueue[lp] < 1 {
+			t.Errorf("LP %d max queue = %d, want >= 1", lp, stats.MaxQueue[lp])
 		}
 	}
 }
@@ -80,7 +77,7 @@ func TestRecorderObserverCoexist(t *testing.T) {
 	var observed int64
 	type tick struct{ n int }
 	k, err := New(Config{
-		NumLPs: 2, Lookahead: 1, Sequential: true,
+		NumLPs: 2, Lookahead: 1,
 		Recorder: stats,
 		Observer: func(start, end float64, charges, remote []int64) {
 			for _, c := range charges {
@@ -134,7 +131,7 @@ func TestNilRecorderZeroAllocsPerEvent(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		k, err := New(Config{NumLPs: 2, Lookahead: 1, Sequential: true, Handler: handler})
+		k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: handler})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +168,7 @@ func BenchmarkKernelRunStats(b *testing.B) {
 func benchKernel(b *testing.B, rec obs.Recorder) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k := chainKernel(b, 4, 2000, 50, rec, false)
+		k := chainKernel(b, 4, 2000, 50, rec)
 		if _, err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

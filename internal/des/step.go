@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -65,10 +64,9 @@ type Stepper struct {
 	scheds  []*Scheduler // indexed by LP; nil for non-local LPs
 	stats   *Stats
 	res     StepResult
-	// pre and done are per-Step scratch reused across windows (pre-window
-	// event counts; worker completion signals).
+	// pre is per-Step scratch reused across windows (pre-window event
+	// counts).
 	pre    []int64
-	done   chan struct{}
 	failed error
 	timing bool
 }
@@ -137,7 +135,6 @@ func (k *Kernel) Stepper(local []int) (*Stepper, error) {
 		st.scheds[lp] = k.newScheduler(lp)
 	}
 	st.pre = make([]int64, 0, len(st.local))
-	st.done = make(chan struct{}, len(st.local))
 	k.ran = true
 	k.runStats = st.stats // lets Kernel.Checkpoint snapshot mid-stepping
 	return st, nil
@@ -158,10 +155,9 @@ func (st *Stepper) NextEventTime() (float64, bool) {
 	return best, found
 }
 
-// Step executes one window [T, end) on every local LP — concurrently unless
-// the kernel is Sequential — and returns the window's per-LP counters and
-// outbox. A handler error poisons the Stepper: Step returns it now and on
-// every later call.
+// Step executes one window [T, end) on every local LP, in LP order, and
+// returns the window's per-LP counters and outbox. A handler error poisons
+// the Stepper: Step returns it now and on every later call.
 func (st *Stepper) Step(T, end float64) (*StepResult, error) {
 	if st.failed != nil {
 		return nil, st.failed
@@ -171,34 +167,13 @@ func (st *Stepper) Step(T, end float64) (*StepResult, error) {
 	for _, lp := range st.local {
 		st.pre = append(st.pre, st.stats.Events[lp])
 	}
-	// Mirror Run's dispatch policy: goroutine-per-LP only when real
-	// parallelism is available (results are identical either way).
-	if k.cfg.Sequential || len(st.local) == 1 ||
-		(runtime.GOMAXPROCS(0) == 1 && !k.cfg.ForceParallel) {
-		for _, lp := range st.local {
-			if st.timing {
-				t0 := time.Now()
-				k.runWindow(lp, st.scheds[lp], end, st.stats)
-				st.res.Busy[lp] = time.Since(t0).Seconds()
-			} else {
-				k.runWindow(lp, st.scheds[lp], end, st.stats)
-			}
-		}
-	} else {
-		for _, lp := range st.local {
-			go func(lp int) {
-				if st.timing {
-					t0 := time.Now()
-					k.runWindow(lp, st.scheds[lp], end, st.stats)
-					st.res.Busy[lp] = time.Since(t0).Seconds()
-				} else {
-					k.runWindow(lp, st.scheds[lp], end, st.stats)
-				}
-				st.done <- struct{}{}
-			}(lp)
-		}
-		for range st.local {
-			<-st.done
+	for _, lp := range st.local {
+		if st.timing {
+			t0 := time.Now()
+			k.runWindow(lp, st.scheds[lp], end, st.stats)
+			st.res.Busy[lp] = time.Since(t0).Seconds()
+		} else {
+			k.runWindow(lp, st.scheds[lp], end, st.stats)
 		}
 	}
 	for _, lp := range st.local {

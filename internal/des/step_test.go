@@ -23,7 +23,7 @@ func pingHandler(lp int, t float64, data any, s *Scheduler) {
 
 func newPingKernel(t *testing.T) *Kernel {
 	t.Helper()
-	k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	k, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +31,79 @@ func newPingKernel(t *testing.T) *Kernel {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// runStepped executes the kernels build returns under a coordinator loop that
+// mirrors Run's window grid and idle skip: each kernel claims one LP set of
+// parts, and every barrier merges all outboxes with SortSent before injecting
+// each stepper's share. It returns the per-LP totals over all steppers.
+func runStepped(t *testing.T, L float64, parts [][]int, build func() *Kernel) *Stats {
+	t.Helper()
+	steppers := make([]*Stepper, len(parts))
+	for i, local := range parts {
+		st, err := build().Stepper(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steppers[i] = st
+	}
+	next := func() (float64, bool) {
+		best, found := math.Inf(1), false
+		for _, st := range steppers {
+			if nt, ok := st.NextEventTime(); ok && nt < best {
+				best, found = nt, true
+			}
+		}
+		return best, found
+	}
+	out := &Stats{}
+	T := 0.0
+	if nt, ok := next(); ok {
+		T = WindowFloor(nt, L)
+	}
+	for {
+		nt, ok := next()
+		if !ok {
+			break
+		}
+		if nt >= T+L {
+			w := WindowFloor(nt, L)
+			out.SkippedTime += w - T
+			T = w
+		}
+		var outbox []Sent
+		for _, st := range steppers {
+			res, err := st.Step(T, T+L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outbox = append(outbox, res.Outbox...)
+		}
+		SortSent(outbox)
+		for _, st := range steppers {
+			var mine []Sent
+			for _, sv := range outbox {
+				if st.isLocal[sv.Dst] {
+					mine = append(mine, sv)
+				}
+			}
+			if err := st.Inject(mine); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.Windows++
+		T += L
+	}
+	n := steppers[0].k.cfg.NumLPs
+	out.Events, out.Charges, out.RemoteSends = make([]int64, n), make([]int64, n), make([]int64, n)
+	for _, st := range steppers {
+		for _, lp := range st.local {
+			out.Events[lp] = st.stats.Events[lp]
+			out.Charges[lp] = st.stats.Charges[lp]
+			out.RemoteSends[lp] = st.stats.RemoteSends[lp]
+		}
+	}
+	return out
 }
 
 func TestStepperValidatesLocals(t *testing.T) {
@@ -85,7 +158,7 @@ func TestStepperMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler, Sequential: true})
+	kB, err := New(Config{NumLPs: 2, Lookahead: 1, Handler: pingHandler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +267,7 @@ func TestStepperInjectRejectsNonLocal(t *testing.T) {
 }
 
 func TestStepperHandlerFailurePoisons(t *testing.T) {
-	k, err := New(Config{NumLPs: 1, Lookahead: 1, Sequential: true,
+	k, err := New(Config{NumLPs: 1, Lookahead: 1,
 		Handler: func(lp int, tt float64, data any, s *Scheduler) {
 			s.Fail(errors.New("deliberate"))
 		}})

@@ -33,8 +33,9 @@ import (
 
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
 // aborts the handshake. v3 added the SPANS frame, the spec's Tracing flag
-// and the straggler/degradation schedule fields.
-const Version = 3
+// and the straggler/degradation schedule fields; v4 dropped the spec's
+// sequential-kernel flag.
+const Version = 4
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a full telemetry slow-state partial on a

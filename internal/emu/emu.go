@@ -127,7 +127,9 @@ type Config struct {
 	// MinLookahead floors the synchronization window (default 100 µs) so a
 	// pathological partition cannot drive the window count to infinity.
 	MinLookahead float64
-	// Sequential forces the kernel to run single-threaded.
+	// Sequential is ignored: the in-process kernel has a single mode.
+	//
+	// Deprecated: ignored.
 	Sequential bool
 
 	// Faults optionally injects a deterministic fault schedule — engine
@@ -520,28 +522,15 @@ func prepare(cfg *Config, o *runOptions) (*emulation, error) {
 	return e, nil
 }
 
-// kernelReferenceBarrier routes every kernel this package builds through the
-// pre-batching global-sort barrier (des.Config.ReferenceBarrier) — a testing
-// knob for the byte-identical oracle regressions. Never set outside tests.
-var kernelReferenceBarrier = false
-
-// kernelForceParallel forces the goroutine-per-engine worker path even on a
-// single-CPU host (des.Config.ForceParallel), so race-enabled tests exercise
-// the concurrent window path everywhere. Never set outside tests.
-var kernelForceParallel = false
-
 // kernelConfig is the handler-and-width core of the kernel configuration;
 // Run layers the in-process observer and barrier hooks on top, while a
 // distributed worker runs it bare (the coordinator owns the barrier).
 func (e *emulation) kernelConfig() des.Config {
 	return des.Config{
-		NumLPs:           e.cfg.NumEngines,
-		Lookahead:        e.lookahead,
-		Handler:          e.handle,
-		EndTime:          e.cfg.EndTime,
-		Sequential:       e.cfg.Sequential,
-		ReferenceBarrier: kernelReferenceBarrier,
-		ForceParallel:    kernelForceParallel,
+		NumLPs:    e.cfg.NumEngines,
+		Lookahead: e.lookahead,
+		Handler:   e.handle,
+		EndTime:   e.cfg.EndTime,
 	}
 }
 

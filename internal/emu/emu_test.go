@@ -183,22 +183,24 @@ func TestProfileCollectsNetFlow(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossParallelism: two identical multi-engine Campus runs
+// agree on every load counter.
 func TestDeterminismAcrossParallelism(t *testing.T) {
 	nw := topogen.Campus()
 	spec := traffic.DefaultHTTP(20, 3)
 	w := spec.Generate(nw)
 	assign := roundRobin(nw.NumNodes(), 3)
-	run := func(seq bool) *Result {
+	run := func() *Result {
 		res, err := Run(Config{
 			Network: nw, Assignment: assign, NumEngines: 3,
-			Workload: w, Sequential: seq,
+			Workload: w,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(true), run(false)
+	a, b := run(), run()
 	if a.Kernel.TotalCharges() != b.Kernel.TotalCharges() {
 		t.Errorf("charges differ: %d vs %d", a.Kernel.TotalCharges(), b.Kernel.TotalCharges())
 	}

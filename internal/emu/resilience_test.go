@@ -73,7 +73,6 @@ func TestLookaheadPinsWindowWidth(t *testing.T) {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   oneFlow(64000, 0),
-		Sequential: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,6 @@ func TestCrashRecoveryBasics(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnCrash:         dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,6 @@ func TestCrashRecoveryChargesMatchSingleEngine(t *testing.T) {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   spreadFlows(8, 8),
-		Sequential: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +174,6 @@ func TestCrashRecoveryChargesMatchSingleEngine(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnCrash:         dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +195,6 @@ func TestStragglerInflatesCost(t *testing.T) {
 			NumEngines: 2,
 			Workload:   spreadFlows(8, 8),
 			Faults:     sched,
-			Sequential: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +227,6 @@ func TestDegradationInflatesRemoteCost(t *testing.T) {
 			NumEngines: 2,
 			Workload:   spreadFlows(8, 8),
 			Faults:     sched,
-			Sequential: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +252,7 @@ func TestDegradationInflatesRemoteCost(t *testing.T) {
 
 func TestFaultedRunDeterminism(t *testing.T) {
 	// Identical configs (including a crash) must produce identical metrics,
-	// run to run, in parallel mode — recovery replays deterministically.
+	// run to run — recovery replays deterministically.
 	run := func() *Result {
 		sched := &faults.Schedule{
 			Crashes:    []faults.Crash{{Engine: 1, At: 2}},
@@ -306,7 +300,6 @@ func TestRecoveryImbalanceMetrics(t *testing.T) {
 		Faults:          sched,
 		CheckpointEvery: 1,
 		OnCrash:         dumpOn(0),
-		Sequential:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,12 @@ import (
 	"repro/internal/traffic"
 )
 
-func telConfig(sequential bool) Config {
+func telConfig() Config {
 	return Config{
 		Network:    lineNet(),
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   spreadFlows(8, 8),
-		Sequential: sequential,
 	}
 }
 
@@ -32,15 +31,14 @@ func TestTelemetryMatchesNetFlowProfile(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"blast-parallel", telConfig(false)},
-		{"blast-sequential", telConfig(true)},
+		{"blast", telConfig()},
 		{"tcp", func() Config {
-			c := telConfig(false)
+			c := telConfig()
 			c.Transport = TCPSlowStart
 			return c
 		}()},
 		{"buffered-drops", func() Config {
-			c := telConfig(true)
+			c := telConfig()
 			c.BufferBytes = 32 << 10
 			return c
 		}()},
@@ -99,7 +97,7 @@ func TestTelemetryFaultedRunMatchesNetFlow(t *testing.T) {
 // TestTelemetrySnapshotConsistency cross-checks the snapshot against the
 // emulator's own independently-maintained result counters.
 func TestTelemetrySnapshotConsistency(t *testing.T) {
-	cfg := telConfig(false)
+	cfg := telConfig()
 	cfg.BufferBytes = 16 << 10 // small enough that the blast below tail-drops
 	cfg.Workload = traffic.Workload{Duration: 8}
 	for i := 0; i < 4; i++ {
@@ -176,13 +174,12 @@ func TestTelemetrySnapshotConsistency(t *testing.T) {
 	}
 }
 
-// TestTelemetryDeterministic: identical runs — including under the parallel
-// kernel — publish byte-identical /trafficmatrix JSON and /metrics bodies,
+// TestTelemetryDeterministic: identical runs publish byte-identical /trafficmatrix JSON and /metrics bodies,
 // the same contract as the obs trace.
 func TestTelemetryDeterministic(t *testing.T) {
 	render := func() (string, string) {
 		tel := telemetry.New()
-		if _, err := Run(telConfig(false), WithTelemetry(tel)); err != nil {
+		if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 			t.Fatal(err)
 		}
 		var m bytes.Buffer
@@ -212,11 +209,11 @@ func TestTelemetryDeterministic(t *testing.T) {
 // latest run (the live massf endpoint reuses one mount).
 func TestTelemetryCollectorReuse(t *testing.T) {
 	tel := telemetry.New()
-	if _, err := Run(telConfig(true), WithTelemetry(tel)); err != nil {
+	if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 		t.Fatal(err)
 	}
 	first := tel.Snapshot()
-	if _, err := Run(telConfig(true), WithTelemetry(tel)); err != nil {
+	if _, err := Run(telConfig(), WithTelemetry(tel)); err != nil {
 		t.Fatal(err)
 	}
 	second := tel.Snapshot()
@@ -234,7 +231,7 @@ func TestTelemetryCollectorReuse(t *testing.T) {
 // check. (The collector's own observe methods are AllocsPerRun(0)-gated in
 // internal/telemetry; this pins that emu adds nothing outside the guards.)
 func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	// Warm the shared routing cache so neither measurement pays the one-time
 	// build.
 	if _, err := Run(cfg); err != nil {
@@ -256,7 +253,7 @@ func TestTelemetryDisabledZeroAddedAllocs(t *testing.T) {
 }
 
 func benchConfig() Config {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	cfg.Workload = spreadFlows(64, 8)
 	return cfg
 }

@@ -16,7 +16,7 @@ import (
 // engine loads.
 func TestTraceTimelineCoversRun(t *testing.T) {
 	tl := obs.NewTimeline()
-	cfg := telConfig(false)
+	cfg := telConfig()
 	res, err := Run(cfg, WithTrace(tl))
 	if err != nil {
 		t.Fatal(err)
@@ -45,26 +45,22 @@ func TestTraceTimelineCoversRun(t *testing.T) {
 	}
 }
 
-// TestTraceCanonicalDeterministic: identical runs — sequential and parallel
-// kernels included — produce byte-identical canonical span projections, the
-// same contract as the result path.
+// TestTraceCanonicalDeterministic: identical runs produce byte-identical
+// canonical span projections, the same contract as the result path.
 func TestTraceCanonicalDeterministic(t *testing.T) {
-	render := func(sequential bool) []byte {
+	render := func() []byte {
 		tl := obs.NewTimeline()
-		if _, err := Run(telConfig(sequential), WithTrace(tl)); err != nil {
+		if _, err := Run(telConfig(), WithTrace(tl)); err != nil {
 			t.Fatal(err)
 		}
 		return tl.CanonicalJSON()
 	}
-	seq := render(true)
-	if len(seq) == 0 {
+	first := render()
+	if len(first) == 0 {
 		t.Fatal("empty canonical projection")
 	}
-	if !bytes.Equal(seq, render(true)) {
-		t.Error("canonical spans differ between identical sequential runs")
-	}
-	if !bytes.Equal(seq, render(false)) {
-		t.Error("canonical spans differ between sequential and parallel kernels")
+	if !bytes.Equal(first, render()) {
+		t.Error("canonical spans differ between identical runs")
 	}
 }
 
@@ -72,7 +68,7 @@ func TestTraceCanonicalDeterministic(t *testing.T) {
 // requires both attribution surfaces — the timeline's health rows and the
 // RunStats counters — to blame it for the majority of the critical path.
 func TestTraceStragglerAttribution(t *testing.T) {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	cfg.Faults = &faults.Schedule{Stragglers: []faults.Straggler{
 		{Engine: 1, From: 0, To: cfg.Workload.Duration, Factor: 10},
 	}}
@@ -113,7 +109,7 @@ func TestTraceStragglerAttribution(t *testing.T) {
 // simulation — the canonical result quantities are identical with tracing on
 // and off.
 func TestTraceResultUnchanged(t *testing.T) {
-	cfg := telConfig(false)
+	cfg := telConfig()
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +128,7 @@ func TestTraceResultUnchanged(t *testing.T) {
 // tracing disabled must allocate exactly like a run with no trace option at
 // all — the window observer sees one nil check.
 func TestTraceDisabledZeroAddedAllocs(t *testing.T) {
-	cfg := telConfig(true)
+	cfg := telConfig()
 	// Warm the shared routing cache so neither measurement pays the one-time
 	// build.
 	if _, err := Run(cfg); err != nil {

@@ -61,19 +61,19 @@ func TestTCPSlowStartWindowGrowth(t *testing.T) {
 func TestTCPSlowStartDeterministic(t *testing.T) {
 	nw := lineNet()
 	w := oneFlow(512<<10, 0)
-	run := func(seq bool) *Result {
+	run := func() *Result {
 		res, err := Run(Config{
 			Network: nw, Assignment: []int{0, 0, 1, 1}, NumEngines: 2,
-			Workload: w, Transport: TCPSlowStart, Sequential: seq,
+			Workload: w, Transport: TCPSlowStart,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(true), run(false)
+	a, b := run(), run()
 	if a.Kernel.TotalCharges() != b.Kernel.TotalCharges() ||
 		a.Kernel.Windows != b.Kernel.Windows {
-		t.Error("TCP transport nondeterministic across parallelism")
+		t.Error("TCP transport nondeterministic across runs")
 	}
 }

@@ -38,8 +38,6 @@ type Config struct {
 	Full bool
 	// Seed drives all generators and the partitioner.
 	Seed int64
-	// Sequential forces single-threaded kernel execution.
-	Sequential bool
 	// SerialSuite runs RunSuite's topology cells one at a time instead of
 	// fanning them out over the worker pool — the reference execution the
 	// parallel-determinism regression tests compare against.
@@ -127,7 +125,6 @@ func (c Config) scenario(topology, app string) (*core.Scenario, error) {
 		AppSeed:    c.Seed + 5,
 		PartSeed:   c.Seed + 3,
 		Cluster:    true,
-		Sequential: c.Sequential,
 		// The report's kernel-observability section reads each run's
 		// aggregated counters from Result.Obs.
 		CollectStats: true,
@@ -171,9 +168,6 @@ type Cell struct {
 	// MaxQueue is the deepest per-engine pending-event queue seen at any
 	// window barrier — the kernel's memory high-water mark.
 	MaxQueue int64
-	// BarrierWait is the total wall-clock time engines spent waiting at
-	// window barriers (parallel kernel only; ~0 when Sequential).
-	BarrierWait float64
 
 	// Traffic-plane telemetry (from the run's telemetry.Snapshot).
 	// CrossEngineBytes is the volume carried between distinct engines — the
@@ -257,7 +251,6 @@ func RunSuite(app string, cfg Config) (*Suite, error) {
 						cell.MaxQueue = q
 					}
 				}
-				cell.BarrierWait = st.TotalBarrierWait()
 			}
 			key := spec.Name + "/" + string(o.Approach)
 			if ts := o.Telemetry(); ts != nil {

@@ -469,11 +469,7 @@ func TestRunSuiteParallelTraceMatchesSerial(t *testing.T) {
 		t.Fatalf("cell counts differ: %d vs %d", len(parSuite.Cells), len(serSuite.Cells))
 	}
 	for i := range serSuite.Cells {
-		// BarrierWait is wall-clock time spent at window barriers — the one
-		// legitimately nondeterministic cell field; everything else must be
-		// bit-equal.
 		p, s := parSuite.Cells[i], serSuite.Cells[i]
-		p.BarrierWait, s.BarrierWait = 0, 0
 		if p != s {
 			t.Errorf("cell %d differs under parallel fan-out:\n  parallel: %+v\n  serial:   %+v", i, p, s)
 		}

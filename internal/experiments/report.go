@@ -159,15 +159,15 @@ func (r *Report) Markdown() string {
 // for every (topology, approach) run of the given suites.
 func RenderObservability(suites ...*Suite) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-10s %-8s %12s %9s %10s %10s %12s\n",
-		"app", "topology", "approach", "events", "windows", "remote-ev", "max-queue", "barrier-wait")
+	fmt.Fprintf(&b, "%-10s %-10s %-8s %12s %9s %10s %10s\n",
+		"app", "topology", "approach", "events", "windows", "remote-ev", "max-queue")
 	for _, s := range suites {
 		if s == nil {
 			continue
 		}
 		for _, c := range s.Cells {
-			fmt.Fprintf(&b, "%-10s %-10s %-8s %12d %9d %10d %10d %11.3fs\n",
-				s.App, c.Topology, c.Approach, c.Events, c.Windows, c.Remote, c.MaxQueue, c.BarrierWait)
+			fmt.Fprintf(&b, "%-10s %-10s %-8s %12d %9d %10d %10d\n",
+				s.App, c.Topology, c.Approach, c.Events, c.Windows, c.Remote, c.MaxQueue)
 		}
 	}
 	return b.String()

@@ -59,7 +59,8 @@ type Window struct {
 	// merge — the channel occupancy entering the next window.
 	Queue []int64
 	// Wait[lp] is the wall-clock time in seconds LP lp spent idle at the
-	// barrier waiting for the slowest LP (zero in sequential mode).
+	// barrier waiting for the slowest LP (zero in process, where one
+	// goroutine runs every LP).
 	// Nondeterministic: recorders producing reproducible artifacts must
 	// ignore it.
 	Wait []float64

@@ -33,7 +33,8 @@ type RunStats struct {
 	// observed per LP — peak channel occupancy.
 	MaxQueue []int64
 	// BarrierWait is the accumulated wall-clock barrier wait per LP in
-	// seconds (zero under the sequential kernel). Nondeterministic.
+	// seconds (zero in process, where one goroutine runs every LP).
+	// Nondeterministic.
 	BarrierWait []float64
 	// Checkpoints, Crashes and Rollbacks count recovery lifecycle events.
 	Checkpoints, Crashes, Rollbacks int64
@@ -191,25 +192,31 @@ func (s *RunStats) NoteClusterSize(n int) {
 }
 
 // TotalEvents sums handler invocations over all LPs.
-func (s *RunStats) TotalEvents() int64 { return sumLocked(s, s.Events) }
-
-// TotalCharges sums the kernel-event load over all LPs.
-func (s *RunStats) TotalCharges() int64 { return sumLocked(s, s.Charges) }
-
-// TotalRemote sums cross-LP event messages over all LPs.
-func (s *RunStats) TotalRemote() int64 { return sumLocked(s, s.Remote) }
-
-// TotalMigrations sums recovery migrations over all engines.
-func (s *RunStats) TotalMigrations() int64 { return sumLocked(s, s.MigratedNodes) }
-
-func sumLocked(s *RunStats, xs []int64) int64 {
+func (s *RunStats) TotalEvents() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t int64
-	for _, x := range xs {
-		t += x
-	}
-	return t
+	return sum(s.Events)
+}
+
+// TotalCharges sums the kernel-event load over all LPs.
+func (s *RunStats) TotalCharges() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sum(s.Charges)
+}
+
+// TotalRemote sums cross-LP event messages over all LPs.
+func (s *RunStats) TotalRemote() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sum(s.Remote)
+}
+
+// TotalMigrations sums recovery migrations over all engines.
+func (s *RunStats) TotalMigrations() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sum(s.MigratedNodes)
 }
 
 // TotalBarrierWait sums the wall-clock barrier wait over all LPs, in

@@ -56,7 +56,6 @@ func goldenRun(t *testing.T) *telemetry.Collector {
 		Assignment: []int{0, 0, 1, 1},
 		NumEngines: 2,
 		Workload:   w,
-		Sequential: true,
 	}, emu.WithTelemetry(tel)); err != nil {
 		t.Fatal(err)
 	}

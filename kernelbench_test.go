@@ -12,7 +12,7 @@
 // before the batching overhaul, kept as the fixed reference the acceptance
 // ratios are computed against) and "baseline" (the current code). The drift
 // gate TestKernelBaseline re-measures the deterministic quantities — windows,
-// events, allocs/op on the sequential cases — and fails on drift, and checks
+// events, allocs/op — and fails on drift, and checks
 // the committed pre/post ns/op ratios still honor the acceptance criteria
 // (dense-window ≥1.5× faster, Brite-large allocs/op down ≥30%).
 //
@@ -22,11 +22,15 @@
 package repro
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/emu"
 	"repro/internal/experiments"
@@ -39,25 +43,24 @@ const kernelbenchFile = "BENCH_kernel.json"
 
 type kernelbenchEntry struct {
 	Name string `json:"name"`
-	// Windows and Events are exact run invariants (deterministic for every
-	// kernel mode — the byte-identical contract).
+	// Windows and Events are exact run invariants (the byte-identical
+	// contract).
 	Windows int64 `json:"windows"`
 	Events  int64 `json:"events"`
 	// NsPerOp is informational (machine-dependent); AllocsPerOp is gated
-	// exactly on sequential cases (parallel runs schedule goroutines, so
-	// their allocation counts carry scheduler noise and are not gated).
+	// within 2%.
 	NsPerOp     int64 `json:"ns_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
-	Sequential  bool  `json:"sequential"`
 }
 
 type kernelbenchBaseline struct {
-	Suite       string            `json:"suite"`
-	Description string            `json:"description"`
-	Date        string            `json:"date"`
-	CPU         string            `json:"cpu"`
-	Benchtime   string            `json:"benchtime"`
+	Suite       string `json:"suite"`
+	Description string `json:"description"`
+	Date        string `json:"date"`
+	CPU         string `json:"cpu"`
+	GOMAXPROCS  int    `json:"gomaxprocs,omitempty"`
+	Benchtime   string `json:"benchtime"`
 	// Pre is the frozen pre-overhaul reference (the per-event outbox path);
 	// Baseline is the current batched path. The acceptance ratios compare
 	// the two as measured on the same machine at the same benchtime.
@@ -68,34 +71,28 @@ type kernelbenchBaseline struct {
 // kernelCase is one benchmark scenario. Paper topologies run the ScaLapack
 // suite workload under a TOP partition; Dense is the synthetic stress case.
 type kernelCase struct {
-	name       string
-	topology   string // "" for the dense stress case
-	sequential bool
+	name     string
+	topology string // "" for the dense stress case
 }
 
 func kernelCases() []kernelCase {
 	return []kernelCase{
-		{"Campus-seq", "Campus", true},
-		{"Campus-par", "Campus", false},
-		{"TeraGrid-seq", "TeraGrid", true},
-		{"TeraGrid-par", "TeraGrid", false},
-		{"Brite-large-seq", "Brite-large", true},
-		{"Brite-large-par", "Brite-large", false},
-		{"Dense-seq", "", true},
-		{"Dense-par", "", false},
+		{"Campus-seq", "Campus"},
+		{"TeraGrid-seq", "TeraGrid"},
+		{"Brite-large-seq", "Brite-large"},
+		{"Dense-seq", ""},
 	}
 }
 
 // kernelTopoConfig assembles the fully-precomputed emulation config for one
 // paper topology: generated network, merged ScaLapack+HTTP workload, TOP
 // partition and memoized routing all resolved before the timer starts.
-func kernelTopoConfig(tb testing.TB, topology string, sequential bool) emu.Config {
+func kernelTopoConfig(tb testing.TB, topology string) emu.Config {
 	tb.Helper()
 	sc, err := experiments.ScenarioFor(experiments.Config{Duration: 30, Seed: 42}, topology, "ScaLapack")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sc.Sequential = sequential
 	part, _, err := sc.Partition(context.Background(), mapping.Top)
 	if err != nil {
 		tb.Fatal(err)
@@ -114,7 +111,6 @@ func kernelTopoConfig(tb testing.TB, topology string, sequential bool) emu.Confi
 		Assignment: part,
 		NumEngines: sc.Engines,
 		Workload:   w,
-		Sequential: sequential,
 	}
 }
 
@@ -124,7 +120,7 @@ func kernelTopoConfig(tb testing.TB, topology string, sequential bool) emu.Confi
 // window non-empty — the per-window barrier cost (outbox merge, observer,
 // telemetry commit) dominates, which is exactly what the batching overhaul
 // targets.
-func kernelDenseConfig(tb testing.TB, sequential bool) emu.Config {
+func kernelDenseConfig(tb testing.TB) emu.Config {
 	tb.Helper()
 	nw := netgraph.New("dense")
 	const routers = 8
@@ -160,15 +156,14 @@ func kernelDenseConfig(tb testing.TB, sequential bool) emu.Config {
 		NumEngines: 2,
 		Workload:   w,
 		ChunkBytes: 16 << 10,
-		Sequential: sequential,
 	}
 }
 
 func kernelConfigFor(tb testing.TB, c kernelCase) emu.Config {
 	if c.topology == "" {
-		return kernelDenseConfig(tb, c.sequential)
+		return kernelDenseConfig(tb)
 	}
-	return kernelTopoConfig(tb, c.topology, c.sequential)
+	return kernelTopoConfig(tb, c.topology)
 }
 
 // BenchmarkKernel times one full emulation per iteration for every case; the
@@ -208,10 +203,9 @@ func kernelbenchMeasure(tb testing.TB, c kernelCase) kernelbenchEntry {
 		events += e
 	}
 	entry := kernelbenchEntry{
-		Name:       c.name,
-		Windows:    res.Kernel.Windows,
-		Events:     events,
-		Sequential: c.sequential,
+		Name:    c.name,
+		Windows: res.Kernel.Windows,
+		Events:  events,
 	}
 	for round := 0; round < 3; round++ {
 		br := testing.Benchmark(func(b *testing.B) {
@@ -239,9 +233,26 @@ func kernelbenchByName(es []kernelbenchEntry) map[string]kernelbenchEntry {
 	return m
 }
 
+// hostCPU returns the host's CPU model name, "unknown" where /proc/cpuinfo
+// does not name one.
+func hostCPU() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 // TestKernelBaseline is the kernel-bench drift gate. It re-measures every
-// case and checks the deterministic quantities exactly (windows, events; and
-// allocs/op on the sequential cases, which have no scheduler noise), allows
+// case and checks the deterministic quantities (windows and events exactly,
+// allocs/op within 2%), allows
 // the committed timing numbers to differ (machines differ), and re-validates
 // the committed pre→baseline acceptance ratios: the dense-window stress case
 // must be ≥1.5× faster than the pre-overhaul path and Brite-large must
@@ -269,9 +280,10 @@ func TestKernelBaseline(t *testing.T) {
 			b.Pre = got
 		}
 		b.Suite = "emu-kernel"
-		b.Description = "Kernel hot-path cost per full emulation run (TOP partition, ScaLapack+HTTP workload on the paper topologies; synthetic dense-window chain): ns/op, bytes/op, allocs/op plus the deterministic windows/events invariants. 'pre' freezes the per-event outbox path before the batching overhaul; 'baseline' is the current pooled-batch/SoA-heap path measured on the same machine. Gates: windows/events exact on every case, allocs/op exact on sequential cases, dense-window pre/baseline ns ratio >= 1.5, Brite-large allocs reduction >= 30%."
-		b.Date = "2026-08-08"
-		b.CPU = "Intel(R) Xeon(R) Processor @ 2.10GHz"
+		b.Description = "Kernel hot-path cost per full emulation run (TOP partition, ScaLapack+HTTP workload on the paper topologies; synthetic dense-window chain): ns/op, bytes/op, allocs/op plus the deterministic windows/events invariants. 'pre' freezes the per-event outbox path before the batching overhaul; 'baseline' is the current pooled-batch/SoA-heap path measured on the same machine. Gates: windows/events exact on every case, allocs/op within 2% on every case, dense-window pre/baseline ns ratio >= 1.5, Brite-large allocs reduction >= 30%."
+		b.Date = time.Now().Format("2006-01-02")
+		b.CPU = hostCPU()
+		b.GOMAXPROCS = runtime.GOMAXPROCS(0)
 		b.Benchtime = "auto (testing.Benchmark, best of 3)"
 		b.Baseline = got
 		out, err := json.MarshalIndent(b, "", "  ")
@@ -305,14 +317,12 @@ func TestKernelBaseline(t *testing.T) {
 			t.Errorf("%s: run-invariant drift — baseline %d windows/%d events, current %d/%d",
 				c.name, w.Windows, w.Events, g.Windows, g.Events)
 		}
-		// Sequential allocation counts are deterministic modulo tiny runtime
-		// variation; allow 2% before calling it drift.
-		if c.sequential {
-			lo, hi := w.AllocsPerOp*98/100, w.AllocsPerOp*102/100
-			if g.AllocsPerOp < lo || g.AllocsPerOp > hi {
-				t.Errorf("%s: allocs/op drift — baseline %d, current %d (regenerate with KERNELBENCH_WRITE=1 if intentional)",
-					c.name, w.AllocsPerOp, g.AllocsPerOp)
-			}
+		// Allocation counts are deterministic modulo tiny runtime variation;
+		// allow 2% before calling it drift.
+		lo, hi := w.AllocsPerOp*98/100, w.AllocsPerOp*102/100
+		if g.AllocsPerOp < lo || g.AllocsPerOp > hi {
+			t.Errorf("%s: allocs/op drift — baseline %d, current %d (regenerate with KERNELBENCH_WRITE=1 if intentional)",
+				c.name, w.AllocsPerOp, g.AllocsPerOp)
 		}
 	}
 
@@ -321,7 +331,7 @@ func TestKernelBaseline(t *testing.T) {
 	if len(preBy) == 0 {
 		t.Fatal("baseline file has no pre-overhaul reference measurements")
 	}
-	for _, name := range []string{"Dense-seq", "Dense-par"} {
+	for _, name := range []string{"Dense-seq"} {
 		pre, post := preBy[name], wantBy[name]
 		if pre.NsPerOp == 0 || post.NsPerOp == 0 {
 			t.Errorf("%s: missing pre/post ns measurements", name)
