@@ -627,11 +627,11 @@ var (
 	errElasticTop         = errors.New("-elastic repartitions with the TOP mapper; use -approach TOP")
 	errCapacityElastic    = errors.New("-capacity only applies together with -elastic")
 
-	errBadRemapInterval     = errors.New("-remap-interval must be positive")
-	errBadRemapPolicy       = errors.New("-remap-policy must be profile, incremental, game or diffusion")
-	errRemapPolicyInterval  = errors.New("-remap-policy only applies together with -remap-interval")
-	errRemapApproach        = errors.New("-remap-interval always starts from the TOP partition; leave -approach unset")
-	errRemapModeExclusive   = errors.New("-remap-interval runs the in-process dynamic loop and cannot combine with -coordinator, -fault, -elastic, -trace, -trace-out, -result-out or -matrix-out")
+	errBadRemapInterval    = errors.New("-remap-interval must be positive")
+	errBadRemapPolicy      = errors.New("-remap-policy must be profile, incremental, game or diffusion")
+	errRemapPolicyInterval = errors.New("-remap-policy only applies together with -remap-interval")
+	errRemapApproach       = errors.New("-remap-interval always starts from the TOP partition; leave -approach unset")
+	errRemapModeExclusive  = errors.New("-remap-interval runs the in-process dynamic loop and cannot combine with -coordinator, -fault, -elastic, -trace, -trace-out, -result-out or -matrix-out")
 )
 
 // validateFlags rejects contradictory flag combinations up front, before any

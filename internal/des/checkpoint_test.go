@@ -181,14 +181,14 @@ func TestCheckpointRestoreReplaysIdentically(t *testing.T) {
 		return nil
 	}
 	k.Schedule(0, 0.5, nil)
-	if _, err := k.Run(); !errors.Is(err, stop) {
+	if _, err = k.Run(); !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want interrupt", err)
 	}
 	if cp == nil || cp.PendingEvents() == 0 {
 		t.Fatal("checkpoint empty")
 	}
 	k.cfg.OnBarrier = nil
-	if err := k.Restore(cp, 0, nil); err != nil {
+	if err = k.Restore(cp, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := k.Run()

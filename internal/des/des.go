@@ -270,8 +270,6 @@ type Kernel struct {
 	recording bool
 	winEvents []int64
 	winQueue  []int64
-	// winWait stays all zero: no LP waits at an in-process barrier.
-	winWait []float64
 }
 
 // New validates cfg and returns a kernel ready for initial event injection.
@@ -359,7 +357,6 @@ func (k *Kernel) Run() (*Stats, error) {
 	if k.recording {
 		k.winEvents = make([]int64, n)
 		k.winQueue = make([]int64, n)
-		k.winWait = make([]float64, n)
 		rec.RecordRun(obs.RunMeta{LPs: n, Lookahead: L, Resumed: k.base != nil})
 	}
 
@@ -412,7 +409,7 @@ func (k *Kernel) Run() (*Stats, error) {
 				rec.RecordWindow(obs.Window{
 					Index: stats.Windows, Start: T, End: windowEnd,
 					Events: k.winEvents, Charges: winCharges, Remote: winRemote,
-					Queue: k.winQueue, Wait: k.winWait,
+					Queue: k.winQueue,
 				})
 			}
 		} else {

@@ -96,7 +96,7 @@ func TestRecorderObserverCoexist(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lp := 0; lp < 2; lp++ {
-		if err := k.Schedule(lp, 0, &tick{n: 9}); err != nil {
+		if err = k.Schedule(lp, 0, &tick{n: 9}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -274,7 +274,7 @@ func TestStepperHandlerFailurePoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Schedule(0, 0.5, nil); err != nil {
+	if err = k.Schedule(0, 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := k.Stepper([]int{0})

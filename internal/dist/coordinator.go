@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/emu"
 	"repro/internal/faults"
 	"repro/internal/netgraph"
@@ -105,8 +104,8 @@ type workerLost struct {
 func (w *workerLost) Error() string {
 	return fmt.Sprintf("dist: worker %d lost: %v", w.worker, w.err)
 }
-func (w *workerLost) Unwrap() error          { return w.err }
-func (w *workerLost) Is(target error) bool   { return target == ErrWorkerLost }
+func (w *workerLost) Unwrap() error        { return w.err }
+func (w *workerLost) Is(target error) bool { return target == ErrWorkerLost }
 
 // Run drives one distributed run over the given worker connections. Engines
 // are dealt round-robin (worker w gets engines w, w+W, ...). On worker loss
@@ -188,18 +187,18 @@ func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res 
 	}
 	start := time.Now()
 
-	// Round-robin engine assignment, and the reverse map for event routing.
-	engines := make([][]int, W)
-	ownerOf := make([]int, n)
+	// Round-robin engine assignment: worker w runs engines w, w+W, ...
+	members := make([]*member, W)
+	for w, conn := range workers {
+		members[w] = &member{conn: conn, slot: w}
+	}
 	for e := 0; e < n; e++ {
-		w := e % W
-		engines[w] = append(engines[w], e)
-		ownerOf[e] = w
+		members[e%W].engines = append(members[e%W].engines, e)
 	}
 	tl := merge.Trace()
 	if tl != nil {
-		for w := range engines {
-			tl.Assign(engines[w], w)
+		for _, m := range members {
+			tl.Assign(m.engines, m.slot)
 		}
 	}
 	merge.NoteClusterSize(n)
@@ -217,202 +216,86 @@ func run(ctx context.Context, spec *RunSpec, workers []Conn, opt *Options) (res 
 			tl.AddWall(spans)
 		}
 	}
-	recv := func(conn Conn, w int) (Frame, error) {
-		return recvHooked(conn, w, opt.StepTimeout, nil, hooks)
-	}
+	bar := newBarrier(merge, n, func(m *member) (Frame, error) {
+		return recvHooked(m.conn, m.slot, opt.StepTimeout, nil, hooks)
+	}, spec.Health)
 
 	// Handshake every worker.
-	for w, conn := range workers {
-		f, err := recvFrom(conn, w, opt.HandshakeTimeout)
+	for _, m := range members {
+		f, err := recvFrom(m.conn, m.slot, opt.HandshakeTimeout)
 		if err != nil {
 			return nil, err
 		}
 		if f.Type != MsgHello {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected HELLO, got %s", f.Type)}
+			return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected HELLO, got %s", f.Type)}
 		}
 		h, err := DecodeHello(f.Payload)
 		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
+			return nil, &workerLost{worker: m.slot, err: err}
 		}
 		if h.Version != Version {
-			return nil, fmt.Errorf("dist: worker %d speaks protocol %d, this build speaks %d", w, h.Version, Version)
+			return nil, fmt.Errorf("dist: worker %d speaks protocol %d, this build speaks %d", m.slot, h.Version, Version)
 		}
-		as := Assign{Version: Version, WorkerID: w, Workers: W, Engines: engines[w], Hash: hash, Spec: blob}
-		if err := sendTo(conn, w, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
+		as := Assign{Version: Version, WorkerID: m.slot, Workers: W, Engines: m.engines, Hash: hash, Spec: blob}
+		if err := sendTo(m.conn, m.slot, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
 			return nil, err
 		}
 	}
-	for w, conn := range workers {
-		f, err := recvFrom(conn, w, opt.HandshakeTimeout)
+	for _, m := range members {
+		f, err := recvFrom(m.conn, m.slot, opt.HandshakeTimeout)
 		if err != nil {
 			return nil, err
 		}
 		if f.Type != MsgReady {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected READY, got %s", f.Type)}
+			return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected READY, got %s", f.Type)}
 		}
 		r, err := DecodeReady(f.Payload)
 		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
+			return nil, &workerLost{worker: m.slot, err: err}
 		}
 		if r.Hash != hash {
-			return nil, fmt.Errorf("dist: worker %d rebuilt a different scenario (spec hash mismatch)", w)
+			return nil, fmt.Errorf("dist: worker %d rebuilt a different scenario (spec hash mismatch)", m.slot)
 		}
 		if math.Float64bits(r.Lookahead) != math.Float64bits(merge.Lookahead()) {
 			return nil, fmt.Errorf("dist: worker %d derived lookahead %g, coordinator %g — builds disagree",
-				w, r.Lookahead, merge.Lookahead())
+				m.slot, r.Lookahead, merge.Lookahead())
 		}
 	}
 	opt.logf("dist: %d workers ready, %d engines, lookahead %g", W, n, merge.Lookahead())
 
-	// The window loop — a faithful serialization of des.(*Kernel).Run: merged
-	// events go out, votes come back, the global window is picked on the same
-	// grid with the same skip accounting, the window executes everywhere, and
-	// the barrier merges outboxes in the same deterministic order.
-	L := merge.Lookahead()
-	virtL = L
+	// The window loop: an opening vote, then one WINDOW/WINDOW_DONE round
+	// per window (see barrier), with a checkpoint at every cadence barrier.
+	virtL = merge.Lookahead()
+	bar.seat(members, virtL)
+	if err := bar.open(members); err != nil {
+		return nil, err
+	}
 	endTime := merge.EndTime()
-	outbox := []emu.WireEvent(nil) // globally sorted, from the last barrier
-	T := 0.0
-	first := true
 	nextCkpt := opt.CheckpointEvery
-	perWorker := make([][]emu.WireEvent, W)
-	reports := make([]*emu.WindowReport, W)
 	for {
 		if err := merge.Canceled(); err != nil {
 			return nil, fmt.Errorf("dist: run canceled: %w", err)
 		}
-		// Deliver the previous barrier's events (each worker gets the
-		// subsequence destined to its engines, in global merge order — the
-		// per-LP sequence streams come out identical to in-process) and
-		// collect votes.
-		for w := range perWorker {
-			perWorker[w] = perWorker[w][:0]
-		}
-		for _, ev := range outbox {
-			w := ownerOf[ev.Dst]
-			perWorker[w] = append(perWorker[w], ev)
-		}
-		for w, conn := range workers {
-			if err := sendTo(conn, w, Frame{Type: MsgEvents, Payload: EncodeEvents(perWorker[w])}); err != nil {
-				return nil, err
-			}
-		}
-		minT, has := 0.0, false
-		for w, conn := range workers {
-			f, err := recv(conn, w)
-			if err != nil {
-				return nil, err
-			}
-			if f.Type != MsgVote {
-				return nil, &workerLost{worker: w, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
-			}
-			v, err := DecodeVote(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: w, err: err}
-			}
-			if v.Has && (!has || v.Time < minT) {
-				minT, has = v.Time, true
-			}
-		}
-		if !has {
+		T, end, ok := bar.next(endTime)
+		if !ok {
 			break
 		}
-		if endTime > 0 && minT >= endTime {
-			break
-		}
-		if first {
-			T = des.WindowFloor(minT, L)
-			first = false
-		}
-		if minT >= T+L {
-			nt := des.WindowFloor(minT, L)
-			merge.Skip(nt - T)
-			T = nt
-		}
-		end := T + L
-
-		for w, conn := range workers {
-			if err := sendTo(conn, w, Frame{Type: MsgWindow, Payload: Window{Start: T, End: end}.Encode()}); err != nil {
-				return nil, err
-			}
-		}
-		outbox = outbox[:0]
-		for w, conn := range workers {
-			f, err := recv(conn, w)
-			if err != nil {
-				return nil, err
-			}
-			if f.Type != MsgWindowDone {
-				return nil, &workerLost{worker: w, err: fmt.Errorf("expected WINDOW_DONE, got %s", f.Type)}
-			}
-			rep, err := DecodeWindowDone(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: w, err: err}
-			}
-			reports[w] = rep
-			outbox = append(outbox, rep.Outbox...)
-		}
-		emu.SortWire(outbox)
-		if err := merge.CommitWindow(T, end, reports); err != nil {
+		if err := bar.window(members, T, end); err != nil {
 			return nil, err
-		}
-		if spec.Health != nil && tl != nil {
-			for _, ws := range tl.DrainWindowStats() {
-				spec.Health.ObserveWindow(ws.Worker, ws.Lag)
-			}
-			spec.Health.SetAttribution(tl.Health())
 		}
 		virtT = T
 		if end >= nextCkpt {
-			for w, conn := range workers {
-				if err := sendTo(conn, w, Frame{Type: MsgCheckpoint, Payload: CheckpointMsg{At: end}.Encode()}); err != nil {
-					return nil, err
-				}
-			}
-			for w, conn := range workers {
-				f, err := recv(conn, w)
-				if err != nil {
-					return nil, err
-				}
-				if f.Type != MsgCheckpointAck {
-					return nil, &workerLost{worker: w, err: fmt.Errorf("expected CHECKPOINT_ACK, got %s", f.Type)}
-				}
+			if err := bar.checkpoint(members, end); err != nil {
+				return nil, err
 			}
 			for nextCkpt <= end {
 				nextCkpt += opt.CheckpointEvery
 			}
 		}
-		T = end
 	}
 
-	// Finish: collect final states, release workers, assemble the Result.
-	states := make([]*emu.DistState, W)
-	for w, conn := range workers {
-		if err := sendTo(conn, w, Frame{Type: MsgFinish}); err != nil {
-			return nil, err
-		}
-	}
-	for w, conn := range workers {
-		f, err := recv(conn, w)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgState {
-			return nil, &workerLost{worker: w, err: fmt.Errorf("expected STATE, got %s", f.Type)}
-		}
-		st, err := DecodeState(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: w, err: err}
-		}
-		states[w] = st
-	}
-	for w, conn := range workers {
-		if err := sendTo(conn, w, Frame{Type: MsgBye}); err != nil {
-			return nil, err
-		}
-	}
-	opt.logf("dist: run complete, merging %d final states", W)
-	return merge.Finalize(states, time.Since(start))
+	opt.logf("dist: window loop complete, collecting %d final states", W)
+	return bar.finish(members, nil, start)
 }
 
 // fallback re-runs the scenario in-process with the lost worker's engines
@@ -523,7 +406,7 @@ func recvHooked(conn Conn, w int, timeout time.Duration, hb *heartbeat, hooks re
 						err: fmt.Errorf("no heartbeat in %d×%v", missed, hb.interval)}
 				}
 				lastPing = time.Now()
-				if err := conn.Send(Frame{Type: MsgPing}); err != nil {
+				if err = conn.Send(Frame{Type: MsgPing}); err != nil {
 					return Frame{}, &workerLost{worker: w, err: err}
 				}
 				continue

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/emu"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -56,14 +55,6 @@ type MembershipLog struct {
 	Losses  []faults.Crash
 }
 
-// emember is one live worker of an elastic run.
-type emember struct {
-	conn     Conn
-	slot     int
-	engines  []int
-	draining bool
-}
-
 type elasticState struct {
 	spec     *RunSpec
 	opt      *ElasticOptions
@@ -72,9 +63,9 @@ type elasticState struct {
 	log      *MembershipLog
 	merge    *emu.DistMerge
 
-	members []*emember // active, in admission order
-	pending []*emember // handshaken joiners awaiting the next barrier
-	bySlot  []*emember
+	members []*member // active, in admission order
+	pending []*member // handshaken joiners awaiting the next barrier
+	bySlot  []*member
 
 	lastResizeAt float64
 	curL         float64
@@ -135,7 +126,7 @@ func RunElastic(ctx context.Context, spec *RunSpec, workers []Conn, opt ElasticO
 	s := &elasticState{
 		spec: spec, opt: &opt, q: q, maxSlots: maxSlots,
 		log:    &MembershipLog{},
-		bySlot: make([]*emember, maxSlots),
+		bySlot: make([]*member, maxSlots),
 	}
 	res, err := s.run(ctx, workers)
 	if err == nil {
@@ -252,7 +243,7 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 		}
 		earlyDrain[slot] = true
 	}
-	admit := func(m *emember) {
+	admit := func(m *member) {
 		s.bySlot[m.slot] = m
 		if earlyDrain[m.slot] {
 			delete(earlyDrain, m.slot)
@@ -274,15 +265,15 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 	if health := s.spec.Health; health != nil {
 		hooks.onRTT = func(w int, rtt time.Duration) { health.ObserveRTT(w, rtt) }
 	}
-	recv := func(m *emember, timeout time.Duration) (Frame, error) {
-		return recvHooked(m.conn, m.slot, timeout, hb, hooks)
-	}
+	bar := newBarrier(merge, cfg.NumEngines, func(m *member) (Frame, error) {
+		return recvHooked(m.conn, m.slot, opt.StepTimeout, hb, hooks)
+	}, s.spec.Health)
 
 	// handshake admits one worker onto a slot. Every worker — initial or
 	// joiner — receives the same original spec; a joiner's engines are
 	// inactive under the original assignment, so it seeds nothing and waits
 	// for its INSTALL.
-	handshake := func(conn Conn, slot int) (*emember, error) {
+	handshake := func(conn Conn, slot int) (*member, error) {
 		f, err := recvFromHB(conn, slot, opt.HandshakeTimeout, nil, onDrain)
 		if err != nil {
 			return nil, err
@@ -297,9 +288,9 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 		if h.Version != Version {
 			return nil, fmt.Errorf("dist: worker slot %d speaks protocol %d, this build speaks %d", slot, h.Version, Version)
 		}
-		m := &emember{conn: conn, slot: slot, engines: s.block(slot)}
+		m := &member{conn: conn, slot: slot, engines: s.block(slot)}
 		as := Assign{Version: Version, WorkerID: slot, Workers: s.maxSlots, Engines: m.engines, Hash: hash, Spec: blob}
-		if err := sendTo(conn, slot, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
+		if err = sendTo(conn, slot, Frame{Type: MsgAssign, Payload: as.Encode()}); err != nil {
 			return nil, err
 		}
 		f, err = recvFromHB(conn, slot, opt.HandshakeTimeout, nil, onDrain)
@@ -377,111 +368,31 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 		}
 	}
 
-	// The window loop, as in the static coordinator, with one addition: at a
-	// checkpoint-cadence barrier with pending joins or drains, the held
-	// outbox is delivered, every member's state is exported, the nodes are
-	// repartitioned over the new membership, and execution resumes on a
-	// fresh window grid — exactly the sequence the in-process elastic path
-	// performs at that barrier.
-	L := initialL
-	s.curL, virtL = L, L
-	endTime := merge.EndTime()
-	outbox := []emu.WireEvent(nil)
-	T := 0.0
-	first := true
-	nextCkpt := opt.CheckpointEvery
-
-	deliver := func() error {
-		per := make(map[int][]emu.WireEvent, len(s.members))
-		for _, ev := range outbox {
-			slot := int(ev.Dst) / s.q
-			m := s.bySlot[slot]
-			if m == nil {
-				return fmt.Errorf("dist: event for engine %d routed to empty slot %d", ev.Dst, slot)
-			}
-			per[slot] = append(per[slot], ev)
-		}
-		for _, m := range s.members {
-			if err := sendTo(m.conn, m.slot, Frame{Type: MsgEvents, Payload: EncodeEvents(per[m.slot])}); err != nil {
-				return err
-			}
-		}
-		outbox = outbox[:0]
-		return nil
+	// The window loop, as in the static coordinator (see barrier), with one
+	// addition: at a checkpoint-cadence barrier with pending joins or
+	// drains, the held outbox is delivered, every member's state is
+	// exported, the nodes are repartitioned over the new membership, and
+	// execution resumes on a fresh window grid after a new opening vote —
+	// exactly the sequence the in-process elastic path performs at that
+	// barrier.
+	s.curL, virtL = initialL, initialL
+	bar.seat(s.members, initialL)
+	if err := bar.open(s.members); err != nil {
+		return nil, err
 	}
-
+	endTime := merge.EndTime()
+	nextCkpt := opt.CheckpointEvery
 	for {
 		if err := merge.Canceled(); err != nil {
 			return nil, fmt.Errorf("dist: run canceled: %w", err)
 		}
 		admitJoins()
-		if err := deliver(); err != nil {
-			return nil, err
-		}
-		minT, has := 0.0, false
-		for _, m := range s.members {
-			f, err := recv(m, opt.StepTimeout)
-			if err != nil {
-				return nil, err
-			}
-			if f.Type != MsgVote {
-				return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
-			}
-			v, err := DecodeVote(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: m.slot, err: err}
-			}
-			if v.Has && (!has || v.Time < minT) {
-				minT, has = v.Time, true
-			}
-		}
-		if !has {
+		T, end, ok := bar.next(endTime)
+		if !ok {
 			break
 		}
-		if endTime > 0 && minT >= endTime {
-			break
-		}
-		if first {
-			T = des.WindowFloor(minT, L)
-			first = false
-		}
-		if minT >= T+L {
-			nt := des.WindowFloor(minT, L)
-			merge.Skip(nt - T)
-			T = nt
-		}
-		end := T + L
-
-		for _, m := range s.members {
-			if err := sendTo(m.conn, m.slot, Frame{Type: MsgWindow, Payload: Window{Start: T, End: end}.Encode()}); err != nil {
-				return nil, err
-			}
-		}
-		reports := make([]*emu.WindowReport, 0, len(s.members))
-		for _, m := range s.members {
-			f, err := recv(m, opt.StepTimeout)
-			if err != nil {
-				return nil, err
-			}
-			if f.Type != MsgWindowDone {
-				return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected WINDOW_DONE, got %s", f.Type)}
-			}
-			rep, err := DecodeWindowDone(f.Payload)
-			if err != nil {
-				return nil, &workerLost{worker: m.slot, err: err}
-			}
-			reports = append(reports, rep)
-			outbox = append(outbox, rep.Outbox...)
-		}
-		emu.SortWire(outbox)
-		if err := merge.CommitWindow(T, end, reports); err != nil {
+		if err := bar.window(s.members, T, end); err != nil {
 			return nil, err
-		}
-		if s.spec.Health != nil && tl != nil {
-			for _, ws := range tl.DrainWindowStats() {
-				s.spec.Health.ObserveWindow(ws.Worker, ws.Lag)
-			}
-			s.spec.Health.SetAttribution(tl.Health())
 		}
 		virtT = T
 
@@ -494,65 +405,26 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 				}
 			}
 			if changing {
-				newL, err := s.resizeBarrier(merge, end, recv, deliver)
+				newL, err := s.resizeBarrier(merge, bar, end)
 				if err != nil {
 					return nil, err
 				}
-				L = newL
-				s.curL, virtL = L, L
-				first = true
-			} else {
-				for _, m := range s.members {
-					if err := sendTo(m.conn, m.slot, Frame{Type: MsgCheckpoint, Payload: CheckpointMsg{At: end}.Encode()}); err != nil {
-						return nil, err
-					}
+				s.curL, virtL = newL, newL
+				bar.seat(s.members, newL)
+				if err := bar.open(s.members); err != nil {
+					return nil, err
 				}
-				for _, m := range s.members {
-					f, err := recv(m, opt.StepTimeout)
-					if err != nil {
-						return nil, err
-					}
-					if f.Type != MsgCheckpointAck {
-						return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected CHECKPOINT_ACK, got %s", f.Type)}
-					}
-				}
+			} else if err := bar.checkpoint(s.members, end); err != nil {
+				return nil, err
 			}
 			for nextCkpt <= end {
 				nextCkpt += opt.CheckpointEvery
 			}
 		}
-		T = end
 	}
 
-	// Finish: final states from the members, BYE everyone (members and any
-	// joiners still waiting for a barrier that never came).
-	states := make([]*emu.DistState, 0, len(s.members))
-	for _, m := range s.members {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgFinish}); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != MsgState {
-			return nil, &workerLost{worker: m.slot, err: fmt.Errorf("expected STATE, got %s", f.Type)}
-		}
-		st, err := DecodeState(f.Payload)
-		if err != nil {
-			return nil, &workerLost{worker: m.slot, err: err}
-		}
-		states = append(states, st)
-	}
-	for _, m := range append(append([]*emember(nil), s.members...), s.pending...) {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgBye}); err != nil {
-			return nil, err
-		}
-	}
-	opt.logf("dist: elastic run complete, merging %d final states", len(states))
-	return merge.Finalize(states, time.Since(start))
+	opt.logf("dist: elastic window loop complete, collecting %d final states", len(s.members))
+	return bar.finish(s.members, s.pending, start)
 }
 
 // resizeBarrier applies the pending membership change at barrier time end:
@@ -560,51 +432,34 @@ func (s *elasticState) run(ctx context.Context, initial []Conn) (res *emu.Result
 // post-merge state, as the in-process checkpoint does), every member's state
 // is exported, the new assignment is computed and installed, drained members
 // are released, and joiners become members. Returns the new window width.
-func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
-	recv func(*emember, time.Duration) (Frame, error), deliver func() error) (float64, error) {
+func (s *elasticState) resizeBarrier(merge *emu.DistMerge, bar *barrier, end float64) (float64, error) {
 	opt := s.opt
 
-	// The held outbox goes to the OLD owners first; the vote replies are
-	// meaningless mid-resize and are discarded.
-	if err := deliver(); err != nil {
+	// The held outbox goes to the OLD owners first; the votes are
+	// meaningless mid-resize, and the opening vote after the install
+	// replaces them.
+	if err := bar.open(s.members); err != nil {
 		return 0, err
-	}
-	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
-			return 0, err
-		}
-		if f.Type != MsgVote {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected VOTE, got %s", f.Type)}
-		}
 	}
 
 	// Export every current member, draining ones included — their state
 	// must land somewhere before they leave.
-	for _, m := range s.members {
-		if err := sendTo(m.conn, m.slot, Frame{Type: MsgExport, Payload: ExportMsg{At: end}.Encode()}); err != nil {
-			return 0, err
-		}
+	if err := broadcast(s.members, Frame{Type: MsgExport, Payload: ExportMsg{At: end}.Encode()}); err != nil {
+		return 0, err
 	}
-	exports := make([]*emu.ElasticExport, 0, len(s.members))
-	for _, m := range s.members {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
-			return 0, err
-		}
-		if f.Type != MsgExport {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected EXPORT, got %s", f.Type)}
-		}
-		ex, err := DecodeElasticExport(f.Payload)
-		if err != nil {
-			return 0, &workerLost{worker: m.slot, err: err}
-		}
-		exports = append(exports, ex)
+	exports := make([]*emu.ElasticExport, len(s.members))
+	err := bar.gather(s.members, MsgExport, func(i int, p []byte) error {
+		ex, err := DecodeElasticExport(p)
+		exports[i] = ex
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 
 	// The new membership: continuing members keep their admission order,
 	// joiners append after them.
-	var continuing, leaving []*emember
+	var continuing, leaving []*member
 	for _, m := range s.members {
 		if m.draining {
 			leaving = append(leaving, m)
@@ -643,21 +498,18 @@ func (s *elasticState) resizeBarrier(merge *emu.DistMerge, end float64,
 			return 0, err
 		}
 	}
-	for _, m := range continuing {
-		f, err := recv(m, opt.StepTimeout)
-		if err != nil {
-			return 0, err
-		}
-		if f.Type != MsgInstallAck {
-			return 0, &workerLost{worker: m.slot, err: fmt.Errorf("expected INSTALL_ACK, got %s", f.Type)}
-		}
-		ack, err := DecodeInstallAck(f.Payload)
-		if err != nil {
-			return 0, &workerLost{worker: m.slot, err: err}
-		}
-		if math.Float64bits(ack.Lookahead) != math.Float64bits(newL) {
+	acks := make([]InstallAck, len(continuing))
+	if err := bar.gather(continuing, MsgInstallAck, func(i int, p []byte) error {
+		ack, err := DecodeInstallAck(p)
+		acks[i] = ack
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	for i, m := range continuing {
+		if math.Float64bits(acks[i].Lookahead) != math.Float64bits(newL) {
 			return 0, fmt.Errorf("dist: worker slot %d acked lookahead %g, coordinator computed %g — builds disagree",
-				m.slot, ack.Lookahead, newL)
+				m.slot, acks[i].Lookahead, newL)
 		}
 	}
 

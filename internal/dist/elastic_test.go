@@ -221,9 +221,9 @@ func TestElasticTCPMatchesLoopback(t *testing.T) {
 	go func() { werrs <- dist.DialAndServe(ctx, l.Addr().String(), dist.WorkerOptions{}) }()
 	conns := make([]dist.Conn, 2)
 	for i := range conns {
-		c, err := dist.Accept(ctx, l)
-		if err != nil {
-			t.Fatal(err)
+		c, aerr := dist.Accept(ctx, l)
+		if aerr != nil {
+			t.Fatal(aerr)
 		}
 		conns[i] = c
 	}

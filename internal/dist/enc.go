@@ -17,7 +17,7 @@ type encoder struct {
 	buf []byte
 }
 
-func (e *encoder) u8(v uint8)  { e.buf = append(e.buf, v) }
+func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
 func (e *encoder) u32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }

@@ -130,9 +130,9 @@ func TestDistributedTCPMatchesLoopback(t *testing.T) {
 	}
 	conns := make([]dist.Conn, workers)
 	for i := range conns {
-		c, err := dist.Accept(ctx, l)
-		if err != nil {
-			t.Fatal(err)
+		c, aerr := dist.Accept(ctx, l)
+		if aerr != nil {
+			t.Fatal(aerr)
 		}
 		conns[i] = c
 	}

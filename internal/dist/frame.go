@@ -4,20 +4,26 @@
 // results byte-identical to the in-process emu.Run path.
 //
 // The protocol is a straight serialization of the conservative kernel's
-// window loop (§2.2.3 of the paper):
+// window loop (§2.2.3 of the paper), at one round trip per window:
 //
 //	worker                         coordinator
 //	HELLO          ──────────────▶
 //	               ◀────────────── ASSIGN (scenario spec + engines + hash)
 //	READY (hash)   ──────────────▶
-//	loop:
-//	               ◀────────────── EVENTS (barrier-merged events, may be empty)
+//	               ◀────────────── EVENTS (opening vote request, no events)
 //	VOTE (min t)   ──────────────▶
-//	               ◀────────────── WINDOW [T, T+L)
-//	WINDOW_DONE    ──────────────▶  (counters, outbox, telemetry share)
+//	loop:
+//	               ◀────────────── WINDOW [T, T+L) + the last barrier's events
+//	WINDOW_DONE    ──────────────▶  (counters, outbox, telemetry share, vote)
 //	               ◀────────────── CHECKPOINT (at cadence) / FINISH / ABORT
 //	STATE (final)  ──────────────▶
 //	               ◀────────────── BYE
+//
+// The worker injects a WINDOW's events, steps the window, then votes; the
+// coordinator's next window comes from the minimum over those votes and the
+// earliest event it holds for delivery. EVENTS/VOTE carries a vote with no
+// window attached: the opening vote here, and the elastic resize barrier's
+// delivery of held events (see elastic.go).
 //
 // Every frame is a uint32 length prefix followed by a one-byte message type
 // and a binary payload; floats travel as raw IEEE-754 bits so no value is
@@ -34,8 +40,10 @@ import (
 // Version is the protocol version; HELLO/ASSIGN carry it and any mismatch
 // aborts the handshake. v3 added the SPANS frame, the spec's Tracing flag
 // and the straggler/degradation schedule fields; v4 dropped the spec's
-// sequential-kernel flag.
-const Version = 4
+// sequential-kernel flag; v5 folded event delivery into WINDOW and the vote
+// into WINDOW_DONE, leaving EVENTS/VOTE for the opening vote and the
+// resize barrier.
+const Version = 5
 
 // MaxFrame bounds a frame's payload (type byte included). It is sized for
 // the largest legitimate message — a full telemetry slow-state partial on a
@@ -55,13 +63,16 @@ const (
 	// MsgReady acknowledges ASSIGN with the worker's independently computed
 	// spec hash and lookahead.
 	MsgReady
-	// MsgEvents delivers barrier-merged events and requests a vote.
+	// MsgEvents delivers barrier-merged events and requests a vote outside
+	// the window loop (the opening vote, the resize barrier).
 	MsgEvents
 	// MsgVote answers with the worker's earliest pending event time.
 	MsgVote
-	// MsgWindow commands execution of one window [start, end).
+	// MsgWindow delivers the last barrier's events and commands execution
+	// of one window [start, end).
 	MsgWindow
-	// MsgWindowDone reports a window's counters, outbox and telemetry.
+	// MsgWindowDone reports a window's counters, outbox, telemetry and the
+	// worker's post-window vote.
 	MsgWindowDone
 	// MsgCheckpoint commands a local snapshot at a barrier; MsgCheckpointAck
 	// confirms it.
@@ -152,43 +163,76 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame: uint32 little-endian length (type byte +
-// payload), then the type byte, then the payload.
-func WriteFrame(w io.Writer, f Frame) error {
+// frameHeader is the wire overhead of one frame: the uint32 length prefix
+// plus the type byte.
+const frameHeader = 5
+
+// appendFrame appends f's wire form to dst: uint32 little-endian length
+// (type byte + payload), then the type byte, then the payload.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload)+1 > MaxFrame {
-		return fmt.Errorf("dist: frame %s payload %d bytes exceeds MaxFrame %d", f.Type, len(f.Payload), MaxFrame)
+		return dst, fmt.Errorf("dist: frame %s payload %d bytes exceeds MaxFrame %d", f.Type, len(f.Payload), MaxFrame)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(f.Payload)+1))
-	hdr[4] = byte(f.Type)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)+1))
+	dst = append(dst, byte(f.Type))
+	return append(dst, f.Payload...), nil
 }
 
 // ReadFrame reads one frame, rejecting empty frames and length prefixes
 // beyond MaxFrame before allocating anything.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+	var fr frameReader
+	return fr.read(r)
+}
+
+// frameReader parses frames from a stream and keeps a partially read frame
+// across a failed read: a Recv that times out mid-frame resumes exactly
+// where it stopped, instead of parsing the next frame from the middle of
+// the stream.
+type frameReader struct {
+	hdr  [4]byte
+	nhdr int
+	body []byte // allocated once the length prefix is complete
+	nbod int
+}
+
+func (fr *frameReader) read(r io.Reader) (Frame, error) {
+	for fr.nhdr < len(fr.hdr) {
+		n, err := r.Read(fr.hdr[fr.nhdr:])
+		fr.nhdr += n
+		if err != nil && fr.nhdr < len(fr.hdr) {
+			if err == io.EOF && fr.nhdr > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, err
+		}
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
-		return Frame{}, fmt.Errorf("dist: empty frame")
+	if fr.body == nil {
+		n := binary.LittleEndian.Uint32(fr.hdr[:])
+		if n == 0 {
+			fr.nhdr = 0
+			return Frame{}, fmt.Errorf("dist: empty frame")
+		}
+		if n > MaxFrame {
+			fr.nhdr = 0
+			return Frame{}, fmt.Errorf("dist: frame length %d exceeds MaxFrame %d", n, MaxFrame)
+		}
+		fr.body = make([]byte, n)
 	}
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("dist: frame length %d exceeds MaxFrame %d", n, MaxFrame)
+	for fr.nbod < len(fr.body) {
+		n, err := r.Read(fr.body[fr.nbod:])
+		fr.nbod += n
+		if err != nil && fr.nbod < len(fr.body) {
+			if isTimeout(err) {
+				return Frame{}, err
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, fmt.Errorf("dist: truncated frame (%d of %d bytes): %w", fr.nbod, len(fr.body), err)
+		}
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, fmt.Errorf("dist: truncated frame (%d of %d bytes): %w", 0, n, err)
-	}
+	body := fr.body
+	*fr = frameReader{}
 	return Frame{Type: MsgType(body[0]), Payload: body[1:]}, nil
 }

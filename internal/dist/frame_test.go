@@ -3,12 +3,23 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/emu"
 )
+
+// frameBytes is f's wire form, as tcpConn.Send writes it.
+func frameBytes(tb testing.TB, f Frame) []byte {
+	tb.Helper()
+	b, err := appendFrame(nil, f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
@@ -20,9 +31,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, f := range cases {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatalf("write %s: %v", f.Type, err)
-		}
+		buf.Write(frameBytes(t, f))
 	}
 	for _, want := range cases {
 		got, err := ReadFrame(&buf)
@@ -55,24 +64,26 @@ func TestReadFrameRejectsEmptyFrame(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Type: MsgVote, Payload: Vote{Has: true, Time: 1.5}.Encode()}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := frameBytes(t, Frame{Type: MsgVote, Payload: Vote{Has: true, Time: 1.5}.Encode()})
 	for cut := 1; cut < len(full); cut++ {
 		_, err := ReadFrame(bytes.NewReader(full[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at %d of %d bytes must error", cut, len(full))
 		}
+		// A cut inside the body names how much of the body arrived.
+		if want := fmt.Sprintf("(%d of %d bytes)", cut-4, len(full)-4); cut > 4 && !strings.Contains(err.Error(), want) {
+			t.Fatalf("truncation at %d: want an error naming %s, got %v", cut, want, err)
+		}
 	}
 }
 
+// TestWriteFrameRejectsOversizedPayload: appendFrame, the frame writer
+// behind tcpConn.Send, refuses a payload that overflows MaxFrame.
 func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 	// Don't allocate 64 MB: a fake slice header would be UB, so use a real
 	// allocation but only once, at exactly the limit boundary.
 	big := make([]byte, MaxFrame) // payload+1 > MaxFrame
-	err := WriteFrame(io.Discard, Frame{Type: MsgState, Payload: big})
+	_, err := appendFrame(nil, Frame{Type: MsgState, Payload: big})
 	if err == nil {
 		t.Fatal("payload at MaxFrame (with type byte overflowing) must be rejected")
 	}
@@ -81,9 +92,7 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 // FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
 // panic or over-allocate, only return a frame or an error.
 func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	WriteFrame(&seed, Frame{Type: MsgHello, Payload: Hello{Version: 1}.Encode()})
-	f.Add(seed.Bytes())
+	f.Add(frameBytes(f, Frame{Type: MsgHello, Payload: Hello{Version: 1}.Encode()}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{})
@@ -93,11 +102,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		// A successfully parsed frame must re-encode to a readable frame.
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, fr); err != nil {
-			t.Fatalf("re-encode of parsed frame failed: %v", err)
-		}
-		back, err := ReadFrame(&buf)
+		back, err := ReadFrame(bytes.NewReader(frameBytes(t, fr)))
 		if err != nil || back.Type != fr.Type || !bytes.Equal(back.Payload, fr.Payload) {
 			t.Fatalf("parsed frame did not round-trip: %v", err)
 		}
@@ -117,6 +122,8 @@ func FuzzDecodePayloads(f *testing.F) {
 	f.Add(EncodeElasticInstall(&emu.ElasticInstall{At: 2, Lookahead: 0.01, Engines: []int{0, 1}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add(Window{Start: 1, End: 2, Events: []emu.WireEvent{{Time: 2, Dst: 1, Kind: emu.WireChunk, Packets: 1}}}.Encode())
+	f.Add(EncodeWindowDone(&emu.WindowReport{Events: []int64{1}}, Vote{Has: true, Time: 2.5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		DecodeHello(data)
 		DecodeAssign(data)

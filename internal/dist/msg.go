@@ -119,21 +119,26 @@ func DecodeVote(b []byte) (Vote, error) {
 	return m, d.finish()
 }
 
-// Window commands one window's execution.
+// Window commands one window's execution [Start, End). It carries the
+// previous barrier's events bound for the receiving worker's engines, in
+// global merge order; the worker injects them before it steps.
 type Window struct {
 	Start, End float64
+	Events     []emu.WireEvent
 }
 
 func (m Window) Encode() []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, 16+4+wireEventSize*len(m.Events))}
 	e.f64(m.Start)
 	e.f64(m.End)
+	encodeWireEvents(&e, m.Events)
 	return e.buf
 }
 
 func DecodeWindow(b []byte) (Window, error) {
 	d := decoder{buf: b}
 	m := Window{Start: d.f64("window.start"), End: d.f64("window.end")}
+	m.Events = decodeWireEvents(&d)
 	return m, d.finish()
 }
 
@@ -211,14 +216,14 @@ func decodeWireEvents(d *decoder) []emu.WireEvent {
 	evs := make([]emu.WireEvent, n)
 	for i := range evs {
 		evs[i] = emu.WireEvent{
-			Time:   d.f64("event.time"),
-			Dst:    int32(d.u32("event.dst")),
-			Src:    int32(d.u32("event.src")),
-			SrcIdx: int32(d.u32("event.srcIdx")),
-			Kind:   d.u8("event.kind"),
-			Flow:   int32(d.u32("event.flow")),
-			Hop:    int32(d.u32("event.hop")),
-			Window: int32(d.u32("event.window")),
+			Time:    d.f64("event.time"),
+			Dst:     int32(d.u32("event.dst")),
+			Src:     int32(d.u32("event.src")),
+			SrcIdx:  int32(d.u32("event.srcIdx")),
+			Kind:    d.u8("event.kind"),
+			Flow:    int32(d.u32("event.flow")),
+			Hop:     int32(d.u32("event.hop")),
+			Window:  int32(d.u32("event.window")),
 			Packets: d.i64("event.packets"),
 			Bytes:   d.i64("event.bytes"),
 			Offset:  d.i64("event.offset"),
@@ -326,8 +331,10 @@ func decodePartial(d *decoder) *telemetry.Partial {
 	return p
 }
 
-// EncodeWindowDone/DecodeWindowDone carry MsgWindowDone payloads.
-func EncodeWindowDone(r *emu.WindowReport) []byte {
+// EncodeWindowDone/DecodeWindowDone carry MsgWindowDone payloads: the
+// window's report and the worker's vote taken after the window, before the
+// next WINDOW delivers anything.
+func EncodeWindowDone(r *emu.WindowReport, v Vote) []byte {
 	var e encoder
 	e.i64s(r.Events)
 	e.i64s(r.Charges)
@@ -335,10 +342,12 @@ func EncodeWindowDone(r *emu.WindowReport) []byte {
 	e.i64s(r.Queue)
 	encodeWireEvents(&e, r.Outbox)
 	encodePartial(&e, r.Telemetry)
+	e.boolean(v.Has)
+	e.f64(v.Time)
 	return e.buf
 }
 
-func DecodeWindowDone(b []byte) (*emu.WindowReport, error) {
+func DecodeWindowDone(b []byte) (*emu.WindowReport, Vote, error) {
 	d := decoder{buf: b}
 	r := &emu.WindowReport{
 		Events:  d.i64s("windowDone.events"),
@@ -348,7 +357,8 @@ func DecodeWindowDone(b []byte) (*emu.WindowReport, error) {
 		Outbox:  decodeWireEvents(&d),
 	}
 	r.Telemetry = decodePartial(&d)
-	return r, d.finish()
+	v := Vote{Has: d.boolean("windowDone.vote.has"), Time: d.f64("windowDone.vote.time")}
+	return r, v, d.finish()
 }
 
 // EncodeState/DecodeState carry MsgState payloads.

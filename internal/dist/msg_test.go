@@ -130,6 +130,24 @@ func TestEventsRoundTripExactFloats(t *testing.T) {
 	}
 }
 
+func TestWindowRoundTripCarriesEvents(t *testing.T) {
+	w := Window{Start: 0.5, End: math.Nextafter(1, 2), Events: []emu.WireEvent{
+		{Time: 1.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireChunk, Flow: 3, Hop: 1, Packets: 2, Bytes: 3000},
+		{Time: 1.5, Dst: 0, Src: 1, SrcIdx: 0, Kind: emu.WireTCPRound, Flow: 4, Window: 8, Offset: 1 << 20},
+	}}
+	got, err := DecodeWindow(w.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Fatalf("window did not round-trip exactly:\n got %+v\nwant %+v", got, w)
+	}
+	empty, err := DecodeWindow(Window{Start: 1, End: 2}.Encode())
+	if err != nil || empty.Events != nil || empty.End != 2 {
+		t.Fatalf("event-less window: got %+v, %v", empty, err)
+	}
+}
+
 func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 	h := telemetry.NewRunHistogram()
 	h.Observe(0.001)
@@ -158,9 +176,13 @@ func TestWindowDoneRoundTripWithTelemetry(t *testing.T) {
 		Outbox:    []emu.WireEvent{{Time: 1.25, Dst: 2, Src: 0, SrcIdx: 1, Kind: emu.WireFlowStart, Flow: 9}},
 		Telemetry: p,
 	}
-	got, err := DecodeWindowDone(EncodeWindowDone(r))
+	vote := Vote{Has: true, Time: math.Nextafter(2, 3)}
+	got, gotVote, err := DecodeWindowDone(EncodeWindowDone(r, vote))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gotVote != vote {
+		t.Fatalf("vote did not round-trip: got %+v, want %+v", gotVote, vote)
 	}
 	if !reflect.DeepEqual(got.Events, r.Events) || !reflect.DeepEqual(got.Outbox, r.Outbox) {
 		t.Fatal("window counters/outbox did not round-trip")

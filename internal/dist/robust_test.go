@@ -68,16 +68,17 @@ func distSpec(t *testing.T) *dist.RunSpec {
 	}}
 }
 
-// errorOnVoteConn makes the worker report a fatal application error in place
-// of its first vote — the shape of a worker hitting a deterministic failure
-// (bad alloc, assertion) rather than a transport fault.
-type errorOnVoteConn struct {
+// errorOnConn makes the worker report a fatal application error in place of
+// its first frame of type on — the shape of a worker hitting a deterministic
+// failure (bad alloc, assertion) rather than a transport fault.
+type errorOnConn struct {
 	dist.Conn
+	on    dist.MsgType
 	fired bool
 }
 
-func (c *errorOnVoteConn) Send(f dist.Frame) error {
-	if f.Type == dist.MsgVote && !c.fired {
+func (c *errorOnConn) Send(f dist.Frame) error {
+	if f.Type == c.on && !c.fired {
 		c.fired = true
 		return c.Conn.Send(dist.Frame{Type: dist.MsgError, Payload: dist.TextMsg{Text: "disk on fire"}.Encode()})
 	}
@@ -86,40 +87,45 @@ func (c *errorOnVoteConn) Send(f dist.Frame) error {
 
 // TestWorkerErrorFrameAbortsTyped: an ERROR frame is a deterministic worker
 // fault — it would recur identically in a recovery replay, so the coordinator
-// must abort the run with a typed error naming the worker, not degrade.
+// must abort the run with a typed error naming the worker, not degrade. The
+// error replaces the opening VOTE, or the steady-state WINDOW_DONE.
 func TestWorkerErrorFrameAbortsTyped(t *testing.T) {
-	errc := make(chan error, 1)
-	go func() {
-		ctx := context.Background()
-		conns := make([]dist.Conn, 2)
-		for i := range conns {
-			c, s := dist.Loopback()
-			if i == 1 {
-				s = &errorOnVoteConn{Conn: s}
+	for _, on := range []dist.MsgType{dist.MsgVote, dist.MsgWindowDone} {
+		t.Run(on.String(), func(t *testing.T) {
+			errc := make(chan error, 1)
+			go func() {
+				ctx := context.Background()
+				conns := make([]dist.Conn, 2)
+				for i := range conns {
+					c, s := dist.Loopback()
+					if i == 1 {
+						s = &errorOnConn{Conn: s, on: on}
+					}
+					conns[i] = c
+					go dist.Serve(ctx, s, dist.WorkerOptions{})
+				}
+				sc := scenario(t, "Campus")
+				_, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
+				errc <- err
+			}()
+			select {
+			case <-time.After(time.Minute):
+				t.Fatal("ERROR frame wedged the coordinator")
+			case err := <-errc:
+				if err == nil {
+					t.Fatal("a worker ERROR must fail the run")
+				}
+				if !errors.Is(err, dist.ErrWorkerFault) {
+					t.Fatalf("want ErrWorkerFault, got %v", err)
+				}
+				if errors.Is(err, dist.ErrWorkerLost) {
+					t.Fatalf("a reported fault is not a lost worker: %v", err)
+				}
+				if !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "disk on fire") {
+					t.Fatalf("error must name the worker and carry its message, got %v", err)
+				}
 			}
-			conns[i] = c
-			go dist.Serve(ctx, s, dist.WorkerOptions{})
-		}
-		sc := scenario(t, "Campus")
-		_, err := sc.RunDistributed(ctx, mapping.Top, conns, dist.Options{})
-		errc <- err
-	}()
-	select {
-	case <-time.After(time.Minute):
-		t.Fatal("ERROR frame wedged the coordinator")
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("a worker ERROR must fail the run")
-		}
-		if !errors.Is(err, dist.ErrWorkerFault) {
-			t.Fatalf("want ErrWorkerFault, got %v", err)
-		}
-		if errors.Is(err, dist.ErrWorkerLost) {
-			t.Fatalf("a reported fault is not a lost worker: %v", err)
-		}
-		if !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "disk on fire") {
-			t.Fatalf("error must name the worker and carry its message, got %v", err)
-		}
+		})
 	}
 }
 

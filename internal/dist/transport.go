@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -28,9 +29,24 @@ type Conn interface {
 // socket surfaces as an error here instead of wedging the run.
 const writeTimeout = 30 * time.Second
 
+// Per-connection buffer bounds. A barrier frame is a few hundred bytes, so
+// an 8 KiB reader takes a whole frame (often several) in one read; larger
+// frames bypass it and read straight into their body. The write buffer
+// holds one frame's header and payload so the frame leaves in one Write
+// (one segment under NoDelay); it is kept for reuse only while it stays
+// within maxKeptWriteBuf, so a one-off ASSIGN or STATE frame does not pin
+// its size for the rest of the run.
+const (
+	readBufSize     = 8 << 10
+	maxKeptWriteBuf = 64 << 10
+)
+
 type tcpConn struct {
 	c     net.Conn
 	label string
+	r     *bufio.Reader
+	fr    frameReader // a partial frame survives a timed-out Recv
+	wbuf  []byte      // reused only after Write has returned
 }
 
 // NewTCPConn wraps an established TCP connection (either side).
@@ -39,14 +55,23 @@ func NewTCPConn(c net.Conn) Conn {
 		// Frames are small and latency-sensitive at barriers.
 		t.SetNoDelay(true)
 	}
-	return &tcpConn{c: c, label: "tcp " + c.RemoteAddr().String()}
+	return &tcpConn{c: c, label: "tcp " + c.RemoteAddr().String(), r: bufio.NewReaderSize(c, readBufSize)}
 }
 
 func (t *tcpConn) Send(f Frame) error {
 	if err := t.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
-	if err := WriteFrame(t.c, f); err != nil {
+	b, err := appendFrame(t.wbuf[:0], f)
+	if err == nil {
+		_, err = t.c.Write(b)
+	}
+	if cap(b) <= maxKeptWriteBuf {
+		t.wbuf = b
+	} else {
+		t.wbuf = nil
+	}
+	if err != nil {
 		return fmt.Errorf("%s: send %s: %w", t.label, f.Type, err)
 	}
 	return nil
@@ -60,7 +85,7 @@ func (t *tcpConn) Recv(timeout time.Duration) (Frame, error) {
 	if err := t.c.SetReadDeadline(dl); err != nil {
 		return Frame{}, err
 	}
-	f, err := ReadFrame(t.c)
+	f, err := t.fr.read(t.r)
 	if err != nil {
 		return Frame{}, fmt.Errorf("%s: recv: %w", t.label, err)
 	}

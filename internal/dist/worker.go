@@ -120,6 +120,20 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 	if spec.Tracing {
 		local.EnableTiming()
 	}
+	// inject delivers a barrier's events, recording the decode-and-inject
+	// wall time against the previous window.
+	inject := func(t0 time.Time, evs []emu.WireEvent) error {
+		if err := local.Inject(evs); err != nil {
+			return err
+		}
+		if spec.Tracing && len(evs) > 0 {
+			spanBuf = append(spanBuf, obs.Span{
+				Kind: obs.SpanWireRecv, Engine: -1, Window: windows,
+				Start: lastT, End: lastEnd, Wall: time.Since(t0).Seconds(),
+			})
+		}
+		return nil
+	}
 	sendSpans := func() error {
 		if !spec.Tracing || len(spanBuf) == 0 {
 			return nil
@@ -141,27 +155,29 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 		}
 		switch f.Type {
 		case MsgEvents:
+			// A vote with no window attached: the opening vote, or a resize
+			// barrier's delivery of held events.
 			t0 := time.Now()
 			evs, err := DecodeEvents(f.Payload)
 			if err != nil {
 				return err
 			}
-			if err := local.Inject(evs); err != nil {
+			if err := inject(t0, evs); err != nil {
 				return err
-			}
-			if spec.Tracing && len(evs) > 0 {
-				spanBuf = append(spanBuf, obs.Span{
-					Kind: obs.SpanWireRecv, Engine: -1, Window: windows,
-					Start: lastT, End: lastEnd, Wall: time.Since(t0).Seconds(),
-				})
 			}
 			t, has := local.Vote()
 			if err := conn.Send(Frame{Type: MsgVote, Payload: Vote{Has: has, Time: t}.Encode()}); err != nil {
 				return err
 			}
 		case MsgWindow:
+			// One window in one round trip: deliver the previous barrier's
+			// events, step, and vote with the report.
+			t0 := time.Now()
 			w, err := DecodeWindow(f.Payload)
 			if err != nil {
+				return err
+			}
+			if err = inject(t0, w.Events); err != nil {
 				return err
 			}
 			rep, err := local.Step(w.Start, w.End)
@@ -179,8 +195,9 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 					return err
 				}
 			}
-			t0 := time.Now()
-			if err := conn.Send(Frame{Type: MsgWindowDone, Payload: EncodeWindowDone(rep)}); err != nil {
+			vt, has := local.Vote()
+			t0 = time.Now()
+			if err := conn.Send(Frame{Type: MsgWindowDone, Payload: EncodeWindowDone(rep, Vote{Has: has, Time: vt})}); err != nil {
 				return err
 			}
 			if spec.Tracing {
@@ -248,12 +265,12 @@ func serve(ctx context.Context, conn Conn, opt *WorkerOptions) error {
 			if err := conn.Send(Frame{Type: MsgState, Payload: EncodeState(st)}); err != nil {
 				return err
 			}
-			f, err := recvCmd(ctx, conn, opt, &drained)
+			bye, err := recvCmd(ctx, conn, opt, &drained)
 			if err != nil {
 				return err
 			}
-			if f.Type != MsgBye {
-				return fmt.Errorf("dist: worker expected BYE, got %s", f.Type)
+			if bye.Type != MsgBye {
+				return fmt.Errorf("dist: worker expected BYE, got %s", bye.Type)
 			}
 			opt.logf("dist: worker %d done", as.WorkerID)
 			return nil
@@ -305,7 +322,7 @@ func recvCmd(ctx context.Context, conn Conn, opt *WorkerOptions, drained *bool) 
 		f, err := conn.Recv(slice)
 		if err == nil {
 			if f.Type == MsgPing {
-				if err := conn.Send(Frame{Type: MsgPong}); err != nil {
+				if err = conn.Send(Frame{Type: MsgPong}); err != nil {
 					return Frame{}, err
 				}
 				continue

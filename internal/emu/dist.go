@@ -217,7 +217,7 @@ func NewDistLocal(cfg Config, engines []int, tel *telemetry.Collector) (*DistLoc
 		}
 		localSet[eng] = true
 	}
-	if err := e.seed(kernel, localSet); err != nil {
+	if err = e.seed(kernel, localSet); err != nil {
 		return nil, err
 	}
 	stepper, err := kernel.Stepper(engines)
@@ -353,9 +353,8 @@ func (d *DistLocal) Final() *DistState {
 // the observation plane (time model, telemetry, recorders) and assembles the
 // final Result from the workers' state contributions.
 type DistMerge struct {
-	e       *emulation
-	stats   *des.Stats
-	winWait []float64
+	e     *emulation
+	stats *des.Stats
 	// active flags the engines currently in the run's membership; resizes
 	// update it, and Finalize only requires coverage of active engines.
 	active []bool
@@ -382,8 +381,7 @@ func NewDistMerge(cfg Config, opts ...Option) (*DistMerge, error) {
 			Charges:     make([]int64, n),
 			RemoteSends: make([]int64, n),
 		},
-		winWait: make([]float64, n),
-		active:  make([]bool, n),
+		active: make([]bool, n),
 	}
 	for i := range m.active {
 		m.active[i] = true
@@ -471,12 +469,11 @@ func (m *DistMerge) CommitWindow(T, end float64, reports []*WindowReport) error 
 	}
 	if m.e.rec != nil {
 		// Queue depths are the workers' post-window (pre-merge) occupancy —
-		// the merge happens on the coordinator after the report is cut. Wait
-		// is wall-clock and owned by the transport here, so it records as 0.
+		// the merge happens on the coordinator after the report is cut.
 		m.e.rec.RecordWindow(obs.Window{
 			Index: m.stats.Windows, Start: T, End: end,
 			Events: events, Charges: charges, Remote: remote,
-			Queue: queue, Wait: m.winWait,
+			Queue: queue,
 		})
 	}
 	m.stats.Windows++

@@ -189,7 +189,7 @@ func (d *DistLocal) Reseat(in *ElasticInstall) error {
 	if err != nil {
 		return err
 	}
-	if err := d.kernel.Restore(cp, newL, nil); err != nil {
+	if err = d.kernel.Restore(cp, newL, nil); err != nil {
 		return err
 	}
 	stepper, err := d.kernel.Stepper(in.Engines)

@@ -337,8 +337,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		// simple.
 		desCfg.OnBarrier = func(ws, we float64) error {
 			if e.ctx != nil {
-				if err := e.ctx.Err(); err != nil {
-					return fmt.Errorf("emu: run canceled at window [%g,%g): %w", ws, we, err)
+				if cerr := e.ctx.Err(); cerr != nil {
+					return fmt.Errorf("emu: run canceled at window [%g,%g): %w", ws, we, cerr)
 				}
 			}
 			if e.barrier != nil {
@@ -351,7 +351,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.seed(kernel, nil); err != nil {
+	if err = e.seed(kernel, nil); err != nil {
 		return nil, err
 	}
 

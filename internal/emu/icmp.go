@@ -99,7 +99,7 @@ func RunTraceroute(nw *netgraph.Network, rt netgraph.Routing, assignment []int, 
 	probes := 0
 	for ttl := 1; ttl <= maxTTL; ttl++ {
 		t := float64(ttl) * 1e-3
-		err := kernel.Schedule(assignment[src], t, icmpProbe{
+		err = kernel.Schedule(assignment[src], t, icmpProbe{
 			origin: src, dst: dst, node: src, ttl: ttl, sentAt: t, seq: ttl,
 		})
 		if err != nil {

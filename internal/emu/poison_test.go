@@ -34,10 +34,10 @@ func TestUnknownPayloadPoisonsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.seed(kernel, nil); err != nil {
+	if err = e.seed(kernel, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := kernel.Schedule(0, 0.25, alienPayload{}); err != nil {
+	if err = kernel.Schedule(0, 0.25, alienPayload{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = kernel.Run()
@@ -68,7 +68,7 @@ func TestTracerouteUnknownPayloadPoisonsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kernel.Schedule(0, 1e-3, alienPayload{}); err != nil {
+	if err = kernel.Schedule(0, 1e-3, alienPayload{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = kernel.Run()

@@ -277,9 +277,9 @@ func (e *emulation) runResilient(k *des.Kernel) (*des.Stats, *Recovery, error) {
 		}
 		var rs *resizeSignal
 		if errors.As(err, &rs) {
-			snap, err := e.applyResize(k, rs, alive)
-			if err != nil {
-				return nil, nil, err
+			snap, rerr := e.applyResize(k, rs, alive)
+			if rerr != nil {
+				return nil, nil, rerr
 			}
 			// The resize snapshot becomes the rollback fence: a later crash
 			// must not roll back behind a membership change.

@@ -58,12 +58,6 @@ type Window struct {
 	// Queue[lp] is LP lp's pending-event queue length after the barrier
 	// merge — the channel occupancy entering the next window.
 	Queue []int64
-	// Wait[lp] is the wall-clock time in seconds LP lp spent idle at the
-	// barrier waiting for the slowest LP (zero in process, where one
-	// goroutine runs every LP).
-	// Nondeterministic: recorders producing reproducible artifacts must
-	// ignore it.
-	Wait []float64
 }
 
 // EventKind classifies lifecycle events.

@@ -32,10 +32,6 @@ type RunStats struct {
 	// MaxQueue is the maximum post-barrier pending-event queue length
 	// observed per LP — peak channel occupancy.
 	MaxQueue []int64
-	// BarrierWait is the accumulated wall-clock barrier wait per LP in
-	// seconds (zero in process, where one goroutine runs every LP).
-	// Nondeterministic.
-	BarrierWait []float64
 	// Checkpoints, Crashes and Rollbacks count recovery lifecycle events.
 	Checkpoints, Crashes, Rollbacks int64
 	// ReplayedWindows is the number of windows discarded by rollbacks and
@@ -79,9 +75,6 @@ func (s *RunStats) grow(n int) {
 	s.Joins = growInts(s.Joins, n)
 	s.Drains = growInts(s.Drains, n)
 	s.Kills = growInts(s.Kills, n)
-	for len(s.BarrierWait) < n {
-		s.BarrierWait = append(s.BarrierWait, 0)
-	}
 }
 
 // growWorkers sizes the worker-indexed attribution slices independently of
@@ -121,7 +114,6 @@ func (s *RunStats) RecordWindow(w Window) {
 		if w.Queue[lp] > s.MaxQueue[lp] {
 			s.MaxQueue[lp] = w.Queue[lp]
 		}
-		s.BarrierWait[lp] += w.Wait[lp]
 	}
 }
 
@@ -219,18 +211,6 @@ func (s *RunStats) TotalMigrations() int64 {
 	return sum(s.MigratedNodes)
 }
 
-// TotalBarrierWait sums the wall-clock barrier wait over all LPs, in
-// seconds.
-func (s *RunStats) TotalBarrierWait() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t float64
-	for _, w := range s.BarrierWait {
-		t += w
-	}
-	return t
-}
-
 // Snapshot returns a consistent copy safe to read while the run continues.
 func (s *RunStats) Snapshot() *RunStats {
 	s.mu.Lock()
@@ -243,7 +223,6 @@ func (s *RunStats) Snapshot() *RunStats {
 		Charges:         append([]int64(nil), s.Charges...),
 		Remote:          append([]int64(nil), s.Remote...),
 		MaxQueue:        append([]int64(nil), s.MaxQueue...),
-		BarrierWait:     append([]float64(nil), s.BarrierWait...),
 		Checkpoints:     s.Checkpoints,
 		Crashes:         s.Crashes,
 		Rollbacks:       s.Rollbacks,
@@ -268,9 +247,6 @@ func (s *RunStats) String() string {
 		c.Windows, c.ReplayedWindows, sum(c.Events), sum(c.Charges), sum(c.Remote))
 	if mq := maxOf(c.MaxQueue); mq > 0 {
 		fmt.Fprintf(&b, ", max queue %d", mq)
-	}
-	if w := totalFloat(c.BarrierWait); w > 0 {
-		fmt.Fprintf(&b, ", barrier wait %.3fs", w)
 	}
 	if c.Checkpoints > 0 || c.Crashes > 0 {
 		fmt.Fprintf(&b, "; recovery: %d checkpoint(s), %d crash(es), %d rollback(s), %d node(s) migrated",

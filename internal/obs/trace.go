@@ -51,8 +51,7 @@ func (t *Trace) RecordRun(m RunMeta) {
 	t.line(append(b, '}'))
 }
 
-// RecordWindow implements Recorder. The wall-clock Wait field is
-// deliberately not serialized (nondeterministic).
+// RecordWindow implements Recorder.
 func (t *Trace) RecordWindow(w Window) {
 	b := t.buf[:0]
 	b = append(b, `{"type":"window","i":`...)
